@@ -14,8 +14,6 @@ from .criteria import (
     CriterionReport,
     DecayReport,
     ScanResult,
-    boundedness_probe,
-    criterion_terms,
     decay_bound_checks,
     default_grid,
     fullmap_scan,
@@ -46,29 +44,18 @@ from .sequences import (
     LocalInvariants,
     SequenceSet,
     aharonov_phi,
-    check_phi_recurrence,
     local_invariants,
-    phi_capital_combinatorial,
     phi_capital_direct,
-    psi_sequence,
 )
 from .series import (
     PowerSeries,
     gen_binomial,
-    ps_compose,
     ps_derivative,
     ps_eval,
     ps_mul,
     ps_pow_real,
     ps_recip,
 )
-from .transforms import (
-    compose_with_automorphism,
-    koebe_transform,
-    lemma2_coefficients,
-    mobius_sigma_series,
-    phi_capital_recentered,
-    psi_via_transform,
-)
+from .transforms import phi_capital_recentered, psi_via_transform
 
 __version__ = "0.1.0"

@@ -2,22 +2,34 @@
 
 Output is deterministic for a fixed configuration: stable field order, floats
 rendered with 17 significant digits, complex numbers as {re, im} pairs.
-Exit codes: 0 success, 1 numeric failure (with its analytic meaning in the
+Each subcommand builds one JSON payload; its CSV table is derived from that
+payload.  Exit codes: 0 success, 1 numeric failure (with its analytic meaning in the
 message), 2 configuration error naming the offending flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from . import acceptance, catalog, criteria, quadrature, sequences
+from . import acceptance, catalog, criteria, quadrature, sequences, transforms
 from .errors import ConfigError, UnivalenceError
 from .quadrature import MeshSpec
 
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
+
+#: smallest accepted value of each integer flag, by subcommand
+_MINIMUM = {
+    ("series", "count"): 1,
+    ("sequence", "count"): 0,
+    ("criterion", "N"): 1,
+    ("scan", "N"): 1,
+    ("bounds", "N"): 1,
+    ("grunsky", "N"): 32,
+}
 
 
 # --------------------------------------------------------------------------
@@ -62,20 +74,59 @@ def _cpx(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
+def _fields(row) -> dict:
+    """JSON object of a result row: one key per dataclass field, in field order."""
+    return {
+        f.name: _cpx(v) if isinstance(v := getattr(row, f.name), complex) else v
+        for f in dataclasses.fields(row)
+    }
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """CSV shape: one row per element of the list ``payload[key]``, led by a
+    running ``index`` column counted from ``start`` (no index column if None)."""
+
+    key: str
+    index: str | None = None
+    start: int = 0
+
+
+def _csv_cells(obj: dict) -> list[tuple[str, object]]:
+    """(column, value) pairs of one CSV row; a complex {re, im} field gives two."""
+    cells = []
+    for name, value in obj.items():
+        if isinstance(value, dict):
+            cells.extend((f"{name}_{part}", v) for part, v in value.items())
+        else:
+            cells.append((name, value))
+    return cells
+
+
+def _render_csv(payload: dict, table) -> str:
+    """CSV view of ``payload``: ``table`` is a :class:`_Rows` shape, or a tuple
+    of scalar keys rendered as a single row."""
+    if isinstance(table, _Rows):
+        rows = [
+            ([(table.index, i)] if table.index else []) + _csv_cells(item)
+            for i, item in enumerate(payload[table.key], table.start)
+        ]
+    else:
+        rows = [_csv_cells({key: payload[key] for key in table})]
+
     def cell(v) -> str:
         if isinstance(v, float):
             return _fmt(v)
         return str(v)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines = [",".join(name for name, _ in rows[0])]
+    lines.extend(",".join(cell(v) for _, v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, payload: dict, csv_header: list[str], csv_rows: list[list]) -> None:
+def _emit(args, payload: dict, table) -> None:
     if args.format == "csv":
-        text = _render_csv(csv_header, csv_rows)
+        text = _render_csv(payload, table)
     else:
         text = _render_json(payload) + "\n"
     if args.out:
@@ -91,9 +142,29 @@ def _emit(args, payload: dict, csv_header: list[str], csv_rows: list[list]) -> N
 
 def _parse_complex_flag(value: str, flag: str) -> complex:
     try:
-        return catalog.parse_complex(value)
+        z = catalog.parse_complex(value)
     except ValueError as exc:
         raise ConfigError(flag, str(exc)) from exc
+    if not abs(z) < 1.0:
+        raise ConfigError(flag, f"must lie in the open unit disk, got {value!r}")
+    return z
+
+
+def _check_flags(args) -> None:
+    """Domain checks on the parsed flags, so that a bad value exits 2 naming its flag."""
+    for dest in ("z", "zeta"):
+        if hasattr(args, dest):
+            setattr(args, dest, _parse_complex_flag(getattr(args, dest), f"--{dest}"))
+    for dest in ("count", "N"):
+        low = _MINIMUM.get((args.command, dest))
+        if low is not None and getattr(args, dest) < low:
+            raise ConfigError(f"--{dest}", f"must be >= {low}, got {getattr(args, dest)}")
+    lam = getattr(args, "lam", None)
+    if lam is None:
+        if getattr(args, "kind", None) == "Phi":
+            raise ConfigError("--lambda", "required for kind=Phi")
+    elif not lam > 0:
+        raise ConfigError("--lambda", f"must be > 0, got {lam!r}")
 
 
 def _parse_mesh(spec: str | None, center: complex) -> MeshSpec:
@@ -168,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="default")
     p.add_argument("--N", type=int, default=96)
     p.add_argument("--tol", type=float, default=criteria.DEFAULT_TOL)
+    p.set_defaults(format="csv")
 
     p = sub.add_parser("bounds", help="growth-bound slack table for a univalent entry")
     add_common(p)
@@ -192,62 +264,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its payload body and the shape of its CSV table
 
 
-def _cmd_series(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    z = _parse_complex_flag(args.z, "--z")
-    s = catalog.series_at(fn, z, args.count)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "series",
-        "fn": fn.label,
+def _cmd_series(args, fn):
+    s = catalog.series_at(fn, args.z, args.count)
+    body = {
         "center": _cpx(s.center),
         "order": s.order,
         "coeffs": [_cpx(c) for c in s.coeffs],
     }
-    rows = [[k, c.real, c.imag] for k, c in enumerate(s.coeffs)]
-    _emit(args, payload, ["k", "re", "im"], rows)
-    return 0
+    return body, _Rows("coeffs", "k")
 
 
-def _cmd_sequence(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    z = _parse_complex_flag(args.z, "--z")
-    # one order beyond the strict minimum covers the Psi route at count 0 too
-    s = catalog.series_at(fn, z, args.count + 3)
-    if args.kind == "phi":
-        seq = sequences.aharonov_phi(s, args.count)
-    elif args.kind == "Phi":
-        if args.lam is None:
-            raise ConfigError("--lambda", "required for kind=Phi")
-        seq = sequences.phi_capital_direct(s, args.lam, args.count)
+def _cmd_sequence(args, fn):
+    if args.kind == "Psi":
+        values = transforms.psi_via_transform(fn, args.z, args.count)
     else:
-        seq = sequences.psi_sequence(s, z, args.count)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sequence",
-        "fn": fn.label,
-        "kind": seq.kind,
-        "z": _cpx(z),
-        "values": [_cpx(v) for v in seq.values],
+        s = catalog.series_at(fn, args.z, args.count + 2)
+        if args.kind == "phi":
+            values = sequences.aharonov_phi(s, args.count).values
+        else:
+            values = sequences.phi_capital_direct(s, args.lam, args.count).values
+    body = {
+        "kind": args.kind,
+        "z": _cpx(args.z),
+        "values": [_cpx(v) for v in values],
     }
-    if seq.lam is not None:
-        payload["lambda"] = seq.lam
-    rows = [[n, v.real, v.imag] for n, v in enumerate(seq.values)]
-    _emit(args, payload, ["n", "re", "im"], rows)
-    return 0
+    if args.kind == "Phi":
+        body["lambda"] = args.lam
+    return body, _Rows("values", "n")
 
 
-def _cmd_criterion(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    zeta = _parse_complex_flag(args.zeta, "--zeta")
-    rep = criteria.univalence_criterion(fn, args.lam, zeta, args.N, args.tol)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "criterion",
-        "fn": fn.label,
+def _cmd_criterion(args, fn):
+    rep = criteria.univalence_criterion(fn, args.lam, args.zeta, args.N, args.tol)
+    body = {
         "lambda": rep.lam,
         "zeta": _cpx(rep.zeta),
         "N": rep.N,
@@ -258,128 +309,57 @@ def _cmd_criterion(args) -> int:
         "verdict": rep.verdict,
         "terms": [_cpx(a) for a in rep.terms],
     }
-    rows = [[n + 1, a.real, a.imag] for n, a in enumerate(rep.terms)]
-    _emit(args, payload, ["n", "re", "im"], rows)
-    return 0
+    return body, _Rows("terms", "n", start=1)
 
 
-def _cmd_scan(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    grid = _parse_grid(args.grid)
-    res = criteria.fullmap_scan(fn, args.lam, grid, args.N, args.tol)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "scan",
-        "fn": fn.label,
+def _cmd_scan(args, fn):
+    res = criteria.fullmap_scan(fn, args.lam, _parse_grid(args.grid), args.N, args.tol)
+    body = {
         "lambda": res.lam,
         "N": res.N,
         "full_mapping_consistent": res.full_mapping_consistent,
-        "rows": [
-            {
-                "zeta": _cpx(r.zeta),
-                "T_N": r.T_N,
-                "margin": r.margin,
-                "verdict": r.verdict,
-            }
-            for r in res.rows
-        ],
+        "rows": [_fields(r) for r in res.rows],
     }
-    rows = [
-        [r.zeta.real, r.zeta.imag, r.T_N, r.margin, r.verdict] for r in res.rows
-    ]
-    if args.format is None:
-        args.format = "csv"
-    _emit(args, payload, ["zeta_re", "zeta_im", "T_N", "margin", "verdict"], rows)
-    return 0
+    return body, _Rows("rows")
 
 
-def _cmd_bounds(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    z = _parse_complex_flag(args.z, "--z")
-    rep = criteria.decay_bound_checks(fn, z, args.N, args.lam)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "bounds",
-        "fn": fn.label,
+def _cmd_bounds(args, fn):
+    rep = criteria.decay_bound_checks(fn, args.z, args.N, args.lam)
+    body = {
         "lambda": rep.lam,
         "z": _cpx(rep.z),
         "worst_slack": rep.worst_slack,
-        "rows": [
-            {
-                "n": r.n,
-                "phi_lhs": r.phi_lhs,
-                "phi_rhs": r.phi_rhs,
-                "phi_slack": r.phi_slack,
-                "cap_lhs": r.cap_lhs,
-                "cap_rhs": r.cap_rhs,
-                "cap_slack": r.cap_slack,
-            }
-            for r in rep.rows
-        ],
+        "rows": [_fields(r) for r in rep.rows],
     }
-    rows = [
-        [r.n, r.phi_lhs, r.phi_rhs, r.phi_slack, r.cap_lhs, r.cap_rhs, r.cap_slack]
-        for r in rep.rows
-    ]
-    _emit(
-        args,
-        payload,
-        ["n", "phi_lhs", "phi_rhs", "phi_slack", "cap_lhs", "cap_rhs", "cap_slack"],
-        rows,
-    )
-    return 0
+    return body, _Rows("rows")
 
 
-def _cmd_area(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    z = _parse_complex_flag(args.z, "--z")
-    mesh = _parse_mesh(args.mesh, z)
-    res = quadrature.prawitz_integral(fn, args.lam, z, mesh)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "area",
-        "fn": fn.label,
+def _cmd_area(args, fn):
+    mesh = _parse_mesh(args.mesh, args.z)
+    res = quadrature.prawitz_integral(fn, args.lam, args.z, mesh)
+    body = {
         "lambda": args.lam,
-        "z": _cpx(z),
+        "z": _cpx(args.z),
         "value": res.value,
         "error_estimate": res.error_estimate,
         "budget": 1.0 / args.lam,
-        "mesh": {
-            "radial_nodes": res.mesh.radial_nodes,
-            "angular_nodes": res.mesh.angular_nodes,
-            "grading": res.mesh.grading,
-            "center": _cpx(res.mesh.center),
-        },
+        "mesh": _fields(res.mesh),
     }
-    rows = [[res.value, res.error_estimate, 1.0 / args.lam]]
-    _emit(args, payload, ["value", "error_estimate", "budget"], rows)
-    return 0
+    return body, ("value", "error_estimate", "budget")
 
 
-def _cmd_grunsky(args) -> int:
-    fn = catalog.from_spec(args.fn)
-    z = _parse_complex_flag(args.z, "--z")
-    mesh = _parse_mesh(args.mesh, z)
-    norm = quadrature.grunsky_norm(fn, z, mesh)
-    residual = quadrature.psi_grunsky_identity_check(fn, z, args.N, mesh)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "grunsky",
-        "fn": fn.label,
-        "z": _cpx(z),
+def _cmd_grunsky(args, fn):
+    mesh = _parse_mesh(args.mesh, args.z)
+    norm = quadrature.grunsky_norm(fn, args.z, mesh)
+    residual = quadrature.psi_grunsky_identity_check(fn, args.z, args.N, mesh)
+    body = {
+        "z": _cpx(args.z),
         "N": args.N,
         "grunsky_norm": norm.value,
         "error_estimate": norm.error_estimate,
         "identity_residual": residual,
     }
-    rows = [[norm.value, norm.error_estimate, residual]]
-    _emit(args, payload, ["grunsky_norm", "error_estimate", "identity_residual"], rows)
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    results = acceptance.run_all(report=print)
-    return 0 if all(r.passed for r in results) else 1
+    return body, ("grunsky_norm", "error_estimate", "identity_residual")
 
 
 _DISPATCH = {
@@ -390,7 +370,6 @@ _DISPATCH = {
     "bounds": _cmd_bounds,
     "area": _cmd_area,
     "grunsky": _cmd_grunsky,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -398,7 +377,16 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "selftest":
+            results = acceptance.run_all(report=print)
+            return 0 if all(r.passed for r in results) else 1
+        _check_flags(args)
+        fn = catalog.from_spec(args.fn)
+        body, table = _DISPATCH[args.command](args, fn)
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, "fn": fn.label}
+        payload.update(body)
+        _emit(args, payload, table)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

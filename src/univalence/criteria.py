@@ -23,7 +23,7 @@ from .catalog import CatalogFunction, series_at
 from .errors import NormalizationError
 from .sequences import aharonov_phi, phi_capital_direct
 from .series import gen_binomial
-from .transforms import lemma2_coefficients, phi_capital_recentered
+from .transforms import phi_capital_recentered
 
 __all__ = [
     "CriterionReport",
@@ -32,10 +32,8 @@ __all__ = [
     "DecayRow",
     "DecayReport",
     "prawitz_sum_s",
-    "criterion_terms",
     "univalence_criterion",
     "fullmap_scan",
-    "boundedness_probe",
     "decay_bound_checks",
     "default_grid",
 ]
@@ -60,7 +58,7 @@ class CriterionReport:
     T_N: float
     budget: float
     margin: float
-    sup_abs_term: float
+    sup_abs_term: float  # max |A_n|; at most sqrt(lam/(1-lam)) for univalent f, 0 < lam < 1
     verdict: Verdict
 
     def __post_init__(self):
@@ -127,34 +125,6 @@ def prawitz_sum_s(fn: CatalogFunction, lam: float, N: int) -> float:
     return float(np.sum((n - lam) * np.abs(a[1:]) ** 2))
 
 
-def criterion_terms(
-    fn: CatalogFunction, lam: float, zeta: complex, N: int
-) -> np.ndarray:
-    """A_1..A_N by the literal double-binomial sum (the printed formula).
-
-    A_n = sum_{j=0..n} (-1)^(n-j) binom(lam, n-j)
-            sum_{k=0..j} binom(j-1, j-k) (-conj(zeta))^(n-k) (1-|zeta|^2)^k
-                          Phi_k(f; zeta),
-
-    i.e. the recentering identity specialized to w = 0.  Like the recentering
-    sum itself this cancels heavily for large n at moderate |zeta|; it is the
-    published expression and is cross-checked against the stable expansion
-    route in the tests (n <= 12).
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    zeta = complex(zeta)
-    Phi = phi_capital_direct(series_at(fn, zeta, N + 2), lam, N)
-    return lemma2_coefficients(Phi, zeta, 0.0, N)[1:]
-
-
-def _criterion_terms_stable(
-    fn: CatalogFunction, lam: float, zeta: complex, N: int
-) -> np.ndarray:
-    """A_1..A_N through the circle-sampling expansion of the pullback."""
-    return phi_capital_recentered(fn, zeta, lam, N)[1:]
-
-
 def _verdict(T_N: float, lam: float, N: int, tol: float) -> Verdict:
     if T_N <= lam + tol:
         return "consistent"
@@ -182,7 +152,7 @@ def univalence_criterion(
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
         raise ValueError("|zeta| must be < 1")
-    A = _criterion_terms_stable(fn, lam, zeta, N)
+    A = phi_capital_recentered(fn, zeta, lam, N)[1:]
     n = np.arange(1, N + 1, dtype=np.float64)
     T = float(np.sum((n - lam) * np.abs(A) ** 2))
     sup = float(np.max(np.abs(A)))
@@ -242,18 +212,6 @@ def fullmap_scan(
         if not (-tol <= rep.margin <= eps_scan):
             ok = False
     return ScanResult(lam, N, eps_scan, tuple(rows), ok)
-
-
-def boundedness_probe(
-    fn: CatalogFunction, lam: float, zeta: complex, N: int
-) -> float:
-    """max_{1<=n<=N} |A_n|: the uniform-boundedness probe at zeta.
-
-    For univalent f and lam in (0,1) the entire sequence is bounded by
-    sqrt(lam/(1-lam)).
-    """
-    A = _criterion_terms_stable(fn, lam, complex(zeta), N)
-    return float(np.max(np.abs(A)))
 
 
 def decay_bound_checks(

@@ -24,11 +24,11 @@ import numpy as np
 
 from .catalog import CatalogFunction, series_at
 from .errors import QuadratureError, SingularSampleError
-from .sequences import aharonov_phi
+from .sequences import _normalized_quotient, aharonov_phi
 from .series import (
     PowerSeries,
-    _horner_scalar,
     ps_derivative,
+    ps_eval,
     ps_mul,
     ps_pow_real,
     ps_recip,
@@ -158,19 +158,16 @@ def _default_delta(z: complex) -> float:
 
 def _pullback_kernel_series(
     fn: CatalogFunction, z: complex, lam: float
-) -> np.ndarray:
-    """Coefficients in t = w - z of the regularized kernel numerator P(t).
+) -> PowerSeries:
+    """Series in t = w - z of the regularized kernel numerator P(t).
 
     P = [f'(w) t / (f(w)-f(z))] * [f'(z) t / (f(w)-f(z))]**lam
         - ((1-|z|^2)/(1 - conj(z) w))**(1-lam),
     which vanishes at t = 0; the constant coefficient is pinned to exactly 0.
     """
     f = series_at(fn, z, _SERIES_ORDER + 2)
-    c = f.coeffs
-    h = PowerSeries(z, c[1:])  # (f(z+t)-f(z))/t
-    g_coeffs = c[1:] / c[1]
-    g_coeffs[0] = 1.0
-    g = PowerSeries(z, g_coeffs)
+    h = PowerSeries(z, f.coeffs[1:])  # (f(z+t)-f(z))/t
+    g = _normalized_quotient(f)
     fp = ps_derivative(f)
     A = ps_mul(fp, ps_recip(h))
     B = ps_pow_real(ps_recip(g), lam)
@@ -180,9 +177,8 @@ def _pullback_kernel_series(
     lin[1] = -np.conj(z) / omz
     C = ps_pow_real(PowerSeries(z, lin), lam - 1.0)
     P = ps_mul(A, B).coeffs - C.coeffs
-    P = P.copy()
     P[0] = 0.0
-    return P
+    return PowerSeries(z, P)
 
 
 def prawitz_integral(
@@ -226,7 +222,7 @@ def prawitz_integral(
     if delta is None:
         delta = _default_delta(z)
 
-    P_coeffs = _pullback_kernel_series(fn, z, lam)
+    P_series = _pullback_kernel_series(fn, z, lam)
     fz = complex(fn.f(z))
     fpz = complex(fn.df(z))
     zb = np.conj(z)
@@ -251,7 +247,7 @@ def prawitz_integral(
         P = fn.df(w) * t / dF * power_q - (omz / (1.0 - zb * w)) ** (1.0 - lam)
         near = at < delta
         if np.any(near):
-            P[near] = _horner_scalar(P_coeffs, t[near])
+            P[near] = ps_eval(P_series, w[near])
         return prefactor * np.abs(P) ** 2 / at ** (2.0 * (1.0 + lam))
 
     return integrate_disk(integrand, mesh)
@@ -261,11 +257,11 @@ def prawitz_integral(
 # Grunsky kernel
 
 
-def _grunsky_series_coeffs(fn: CatalogFunction, z: complex) -> np.ndarray:
-    """Coefficients of U(f;z,z+t) in powers of t: -(n+1) phi_{n+1} at slot n."""
+def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
+    """U(f;z,z+t) as a series in t: -(n+1) phi_{n+1} at slot n."""
     phi = aharonov_phi(series_at(fn, z, _SERIES_ORDER + 3), _SERIES_ORDER + 1).values
     n = np.arange(1, phi.size)
-    return -(n * phi[1:])
+    return PowerSeries(z, -(n * phi[1:]))
 
 
 def grunsky_kernel_point(
@@ -283,7 +279,7 @@ def grunsky_kernel_point(
     z = complex(z)
     if delta is None:
         delta = _default_delta(z)
-    coeffs = _grunsky_series_coeffs(fn, z)
+    U_series = _grunsky_series(fn, z)
     fz = complex(fn.f(z))
     fpz = complex(fn.df(z))
     warr = np.asarray(w, dtype=np.complex128)
@@ -294,7 +290,7 @@ def grunsky_kernel_point(
         wf = warr[~near]
         out[~near] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
     if np.any(near):
-        out[near] = _horner_scalar(coeffs, t[near])
+        out[near] = ps_eval(U_series, warr[near])
     if np.ndim(w) == 0:
         return complex(out)
     return out

@@ -1,16 +1,17 @@
 """Coefficient sequences attached to a locally univalent analytic function.
 
-Three families are computed from a Taylor expansion of f about a point z:
+Two families are computed from a Taylor expansion of f about a point z:
 
 * ``aharonov_phi``: the coefficients phi_n of the regular part of
   f'(z)/(f(w)-f(z)), expanded in powers of w-z after the simple pole is
   removed.
-* ``phi_capital_direct`` / ``phi_capital_combinatorial``: the coefficients
-  Phi_{lambda,n} of [f'(z)(w-z)/(f(w)-f(z))]**lambda, by two independent
-  routes (series power, and explicit tuple enumeration over weak
-  compositions).
-* ``psi_sequence``: the exterior coefficients Psi_n of the reciprocal Koebe
-  transform, assembled from the phi_k by a binomial convolution.
+* ``phi_capital_direct``: the coefficients Phi_{lambda,n} of
+  [f'(z)(w-z)/(f(w)-f(z))]**lambda, as a real power of a series.
+
+The exterior coefficients Psi_n come from the pullback route in
+:mod:`univalence.transforms`.  The printed formulas (tuple enumeration for
+Phi, the binomial convolution for Psi, the phi recurrence) are kept as
+reference routes in :mod:`univalence.oracles`.
 
 The first two coefficients of each family are tied to the pre-Schwarzian
 N_f = f''/f' and the Schwarzian S_f; those identities are verified on every
@@ -20,30 +21,19 @@ call as an internal consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Literal
 
 import numpy as np
 
-from .catalog import CatalogFunction, series_at
-from .errors import EnumerationLimitError, NotLocallyUnivalentError
-from .series import (
-    PowerSeries,
-    gen_binomial,
-    ps_mul,
-    ps_pow_real,
-    ps_recip,
-)
+from .errors import NotLocallyUnivalentError
+from .series import PowerSeries, ps_pow_real, ps_recip
 
 __all__ = [
     "LocalInvariants",
     "SequenceSet",
     "local_invariants",
     "aharonov_phi",
-    "check_phi_recurrence",
     "phi_capital_direct",
-    "phi_capital_combinatorial",
-    "psi_sequence",
 ]
 
 #: below this magnitude a leading Taylor coefficient is treated as a vanished derivative
@@ -51,9 +41,6 @@ _DERIV_TOL = 1e-12
 
 #: tolerance of the built-in N_f/S_f consistency checks
 _INVARIANT_TOL = 1e-11
-
-#: hard cap for the tuple-enumeration route
-_ENUM_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -190,112 +177,3 @@ def phi_capital_direct(f_series: PowerSeries, lam: float, count: int) -> Sequenc
     _check_low_order(f_series, values, "Phi", lam)
     return SequenceSet(kind="Phi", center=f_series.center, values=values, lam=lam)
 
-
-def _weak_compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    for cuts in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for cut in cuts:
-            out.append(cut - prev - 1)
-            prev = cut
-        out.append(total + parts - 2 - prev)
-        yield out
-
-
-def phi_capital_combinatorial(
-    phi: SequenceSet, lam: float, count: int
-) -> SequenceSet:
-    """Phi_{lam,n} by explicit enumeration of products of phi values.
-
-    Phi_n = sum_{j=1..n} binom(lam, j) * sum over j-tuples (k_1..k_j) of
-    non-negative integers with k_1+...+k_j = n-j of phi_{k_1}...phi_{k_j}.
-    Exponential in ``count``; capped at 12.
-    """
-    if phi.kind != "phi":
-        raise ValueError("phi_capital_combinatorial expects a phi SequenceSet")
-    if count > _ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"enumeration limit: count={count} exceeds {_ENUM_LIMIT}"
-        )
-    if len(phi) < count:
-        raise ValueError(f"need at least {count} phi values, have {len(phi)}")
-    vals = np.zeros(count + 1, dtype=np.complex128)
-    vals[0] = 1.0
-    pv = phi.values
-    for n in range(1, count + 1):
-        acc = 0j
-        for j in range(1, n + 1):
-            binom = gen_binomial(lam, j)
-            if binom == 0.0:
-                continue
-            inner = 0j
-            for tup in _weak_compositions(n - j, j):
-                term = 1.0 + 0j
-                for k in tup:
-                    term *= pv[k]
-                inner += term
-            acc += binom * inner
-        vals[n] = acc
-    return SequenceSet(kind="Phi", center=phi.center, values=vals, lam=lam)
-
-
-def check_phi_recurrence(
-    fn: CatalogFunction, z: complex, n: int, h: float = 1e-4
-) -> float:
-    """Relative residual of the derivative recurrence linking phi_{n+1} to phi_n'.
-
-    phi_n' at z is estimated by central differences with step h (real
-    direction); the residual compares (n+3) phi_{n+1} with
-    phi_n' - sum_{k=1..n-1} phi_k phi_{n-k}.
-    """
-    if n < 1:
-        raise ValueError("recurrence index n must be >= 1")
-    z = complex(z)
-    if abs(z + h) >= 1.0 or abs(z - h) >= 1.0:
-        raise ValueError("z +- h must stay inside the disk")
-    order = n + 3
-    phi0 = aharonov_phi(series_at(fn, z, order + 2), n + 1)
-    phip = aharonov_phi(series_at(fn, z + h, order + 2), n)
-    phim = aharonov_phi(series_at(fn, z - h, order + 2), n)
-    dphi_n = (phip.values[n] - phim.values[n]) / (2.0 * h)
-    conv = sum(phi0.values[k] * phi0.values[n - k] for k in range(1, n))
-    lhs = phi0.values[n + 1]
-    rhs = (dphi_n - conv) / (n + 3.0)
-    return float(abs(lhs - rhs) / max(1.0, abs(lhs)))
-
-
-def psi_sequence(f_series: PowerSeries, z: complex, count: int) -> SequenceSet:
-    """Psi_0..Psi_count at z from the phi values via the binomial convolution.
-
-    Psi_0 = conj(z) - (1-|z|^2) N_f(z)/2 and, for n >= 1,
-    Psi_n = sum_{k=1..n} binom(n-1, n-k) (-conj(z))^{n-k} (1-|z|^2)^{k+1} phi_k.
-    Accurate for moderate n; the alternating terms cancel heavily for large n
-    at |z| close to 1.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("z must lie in the open unit disk")
-    if abs(z - f_series.center) > 1e-13:
-        raise ValueError(
-            f"f_series is centered at {f_series.center}, not at z={z}"
-        )
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    need = max(count, 1)
-    phi = aharonov_phi(f_series, need)
-    zb = np.conj(z)
-    omz = 1.0 - abs(z) ** 2
-    vals = np.zeros(count + 1, dtype=np.complex128)
-    vals[0] = zb + omz * phi.values[0]
-    for n in range(1, count + 1):
-        acc = 0j
-        for k in range(1, n + 1):
-            acc += (
-                gen_binomial(n - 1, n - k)
-                * (-zb) ** (n - k)
-                * omz ** (k + 1)
-                * phi.values[k]
-            )
-        vals[n] = acc
-    return SequenceSet(kind="Psi", center=z, values=vals)

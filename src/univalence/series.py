@@ -5,7 +5,7 @@ function about a fixed center, representing sum_k c_k (w - z0)^k.  All
 operations are pure functions of immutable inputs and truncate at the order
 of their shortest operand.  Coefficients are double-precision complex; the
 recurrences below are exact given exact inputs, so closed-form input series
-keep near machine accuracy through reciprocal, powers and composition.
+keep near machine accuracy through reciprocal and powers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "ps_recip",
     "ps_derivative",
     "ps_pow_real",
-    "ps_compose",
     "ps_eval",
 ]
 
@@ -151,31 +150,6 @@ def ps_pow_real(a: PowerSeries, lam: float) -> PowerSeries:
     return PowerSeries(a.center, b)
 
 
-def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """Truncated composition outer(inner(t)) by Horner's scheme.
-
-    ``inner`` must have constant term exactly 0; recentring the outer series
-    so that this holds is the caller's job.  The result is expanded about
-    ``inner.center``.
-    """
-    if inner.coeffs[0] != 0:
-        raise ValueError(
-            f"inner series must have zero constant term, got {inner.coeffs[0]}"
-        )
-    n = _common_order(outer, inner)
-    inner_t = PowerSeries(inner.center, inner.coeffs[: n + 1])
-    seed = np.zeros(n + 1, dtype=np.complex128)
-    seed[0] = outer.coeffs[n]
-    acc = PowerSeries(inner.center, seed)
-    # Horner: acc <- acc*inner + c_k
-    for k in range(n - 1, -1, -1):
-        acc = ps_mul(acc, inner_t)
-        new = acc.coeffs.copy()
-        new[0] += outer.coeffs[k]
-        acc = PowerSeries(inner.center, new)
-    return acc
-
-
 def ps_eval(a: PowerSeries, w: complex | np.ndarray) -> complex | np.ndarray:
     """Horner evaluation at w; convergence inside a reliable radius is the caller's concern."""
     t = np.asarray(w, dtype=np.complex128) - a.center
@@ -186,10 +160,3 @@ def ps_eval(a: PowerSeries, w: complex | np.ndarray) -> complex | np.ndarray:
         return complex(acc)
     return acc
 
-
-def _horner_scalar(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Horner evaluation of raw coefficients at displacements t (no recentering)."""
-    acc = np.full_like(np.asarray(t, dtype=np.complex128), coeffs[-1])
-    for k in range(coeffs.size - 2, -1, -1):
-        acc = acc * t + coeffs[k]
-    return acc

@@ -1,17 +1,12 @@
-"""Disk-automorphism machinery: pullbacks f(sigma_zeta(w)), the Koebe
-transform, and the recentering formula for the Phi coefficients.
+"""The recentered coefficients of a disk-automorphism pullback.
 
-Two independent routes to the recentered coefficients are provided:
-
-* ``lemma2_coefficients`` evaluates the published double-binomial sum
-  literally, so tests can validate the printed combinatorics.  It cancels
-  catastrophically for large index at moderate |zeta| and is intended for
-  n up to roughly 12.
-* ``phi_capital_recentered`` samples the generating function of the pullback
-  on a circle (closed-form point evaluation, branch tracked by phase
-  unwrapping) and recovers Taylor coefficients by discrete Fourier inversion.
-  It stays near machine accuracy up to a few hundred coefficients and is the
-  engine behind the criterion sums.
+``phi_capital_recentered`` samples the generating function of the pullback
+f o sigma_zeta on a circle (closed-form point evaluation, branch tracked by
+phase unwrapping) and recovers Taylor coefficients by discrete Fourier
+inversion.  It stays near machine accuracy up to a few hundred coefficients
+and is the engine behind the criterion sums and the Psi sequence.  The
+literal recentering sum and truncated-series composition are kept as
+reference routes in :mod:`univalence.oracles`.
 """
 
 from __future__ import annotations
@@ -20,136 +15,12 @@ import numpy as np
 
 from .catalog import CatalogFunction, series_at
 from .errors import NotLocallyUnivalentError, UnivalenceError
-from .sequences import SequenceSet, phi_capital_direct
-from .series import PowerSeries, gen_binomial, ps_compose
+from .sequences import _DERIV_TOL, phi_capital_direct
 
 __all__ = [
-    "mobius_sigma_series",
-    "compose_with_automorphism",
-    "koebe_transform",
-    "lemma2_coefficients",
     "phi_capital_recentered",
     "psi_via_transform",
 ]
-
-_DERIV_TOL = 1e-12
-
-
-def mobius_sigma_series(zeta: complex, order: int) -> PowerSeries:
-    """Series at 0 of sigma_zeta(w) - zeta, where sigma_zeta(w) = (w+zeta)/(1+conj(zeta)w).
-
-    Coefficient k is (1-|zeta|^2)(-conj(zeta))^(k-1) for k >= 1; the constant
-    term is exactly 0 so the result can feed ps_compose directly.
-    """
-    zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
-        raise ValueError(f"|zeta| must be < 1, got {abs(zeta):.6g}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    k = np.arange(1, order + 1)
-    coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[1:] = (1.0 - abs(zeta) ** 2) * (-np.conj(zeta)) ** (k - 1)
-    return PowerSeries(0.0, coeffs)
-
-
-def compose_with_automorphism(
-    fn: CatalogFunction, zeta: complex, order: int, center: complex = 0.0
-) -> PowerSeries:
-    """Series of F(w) = f(sigma_zeta(w)) about ``center`` (default 0).
-
-    Built by recentring f at sigma_zeta(center) and composing with the shifted
-    automorphism series.  Pure truncated-series arithmetic: accurate at small
-    orders, but loses digits quickly for order beyond ~16 at moderate |zeta|
-    (the intermediate terms grow geometrically while the result stays O(1));
-    use :func:`phi_capital_recentered` for long coefficient runs.
-    """
-    zeta = complex(zeta)
-    center = complex(center)
-    if abs(center) >= 1.0:
-        raise ValueError("center must lie inside the disk")
-    if center == 0.0:
-        inner = mobius_sigma_series(zeta, order)
-        image = zeta
-    else:
-        sig = series_at(_sigma_entry(zeta), center, order)
-        image = sig.coeffs[0]
-        shifted = sig.coeffs.copy()
-        shifted[0] = 0.0
-        inner = PowerSeries(center, shifted)
-    outer = series_at(fn, complex(image), order)
-    return ps_compose(outer, inner)
-
-
-def _sigma_entry(zeta: complex) -> CatalogFunction:
-    from .catalog import get
-
-    return get("sigma", zeta=zeta)
-
-
-def koebe_transform(fn: CatalogFunction, z: complex, order: int) -> PowerSeries:
-    """Series at 0 of (f(sigma_z(w)) - f(z)) / ((1-|z|^2) f'(z)).
-
-    The result is normalized to the class S: constant term exactly 0 and
-    first coefficient exactly 1.
-    """
-    composed = compose_with_automorphism(fn, z, order)
-    c = composed.coeffs.copy()
-    c[0] = 0.0
-    if abs(c[1]) <= _DERIV_TOL:
-        raise NotLocallyUnivalentError(f"f'(z)=0: not locally univalent at z={z}")
-    c = c / c[1]
-    c[1] = 1.0
-    return PowerSeries(0.0, c)
-
-
-def lemma2_coefficients(
-    Phi_at_z: SequenceSet, zeta: complex, w: complex, count: int
-) -> np.ndarray:
-    """Recentered coefficients Phi_n(f o sigma_zeta; w) from Phi_k(f; sigma_zeta(w)).
-
-    Literal evaluation of the double binomial sum
-
-        sum_{j=0..n} (-1)^(n-j) binom(lam, n-j)
-          sum_{k=0..j} binom(j-1, j-k) (-conj(zeta))^(n-k) (1-|zeta|^2)^k
-                        (1+conj(zeta) w)^(-(n+k)) Phi_k(f; z)
-
-    with the conventions binom(-1,0)=1 and binom(j-1,j)=0 for j >= 1.
-    """
-    if Phi_at_z.kind != "Phi":
-        raise ValueError("lemma2_coefficients expects a Phi SequenceSet")
-    if count + 1 > len(Phi_at_z):
-        raise ValueError(f"need Phi_0..Phi_{count}, have {len(Phi_at_z)} values")
-    lam = Phi_at_z.lam
-    zeta = complex(zeta)
-    w = complex(w)
-    if abs(zeta) >= 1.0 or abs(w) >= 1.0:
-        raise ValueError("|zeta| and |w| must be < 1")
-    zb = np.conj(zeta)
-    omz = 1.0 - abs(zeta) ** 2
-    base = 1.0 + zb * w
-    phis = Phi_at_z.values
-    out = np.zeros(count + 1, dtype=np.complex128)
-    for n in range(count + 1):
-        acc = 0j
-        for j in range(n + 1):
-            outer = (-1.0) ** (n - j) * gen_binomial(lam, n - j)
-            if outer == 0.0:
-                continue
-            inner = 0j
-            for k in range(j + 1):
-                b = gen_binomial(j - 1, j - k)
-                if b == 0.0:
-                    continue
-                inner += (
-                    b * (-zb) ** (n - k) * omz**k * base ** (-(n + k)) * phis[k]
-                )
-            acc += outer * inner
-        out[n] = acc
-    return out
-
-
-# --------------------------------------------------------------------------
-# stable recentered-coefficient engine
 
 
 def _radial_branch_anchor(q_radial: np.ndarray) -> float:

@@ -2,6 +2,9 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from univalence.cli import run
 
 
@@ -143,6 +146,54 @@ def test_numeric_error_exit_code(capsys):
     )
     assert code == 1
     assert "f'(z)=0" in err
+
+
+@pytest.mark.parametrize(
+    "argv,code,named",
+    [
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "0"], 2, "--N"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "0"], 2, "--N"),
+        (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "0"], 2, "--N"),
+        (["grunsky", "--fn", "koebe", "--N", "31"], 2, "--N"),
+        (["series", "--fn", "koebe", "--count", "0"], 2, "--count"),
+        (["sequence", "--fn", "koebe", "--kind", "phi", "--count", "-1"], 2, "--count"),
+        (["criterion", "--fn", "koebe", "--lambda", "-1"], 2, "--lambda"),
+        (["sequence", "--fn", "koebe", "--kind", "Phi", "--lambda", "0"], 2, "--lambda"),
+        (["area", "--fn", "koebe", "--lambda", "nan"], 2, "--lambda"),
+        (["series", "--fn", "koebe", "--z", "2"], 2, "--z"),
+        (["sequence", "--fn", "koebe", "--kind", "Psi", "--z", "1i"], 2, "--z"),
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta=-1"], 2, "--zeta"),
+        (["criterion", "--fn", "quad_poly:a=0.6", "--lambda", "0.5",
+          "--zeta=-0.8333333333333334", "--N", "8"], 1, "f'(z)=0"),
+    ],
+)
+def test_exit_code_table(capsys, argv, code, named):
+    got, out, err = _capture(capsys, argv)
+    assert (got, out) == (code, "")
+    assert named in err
+
+
+def _psi_values(capsys, fn, z):
+    code, out, _ = _capture(
+        capsys, ["sequence", "--fn", fn, "--kind", "Psi", f"--z={z}", "--count", "64"]
+    )
+    assert code == 0
+    return np.array([complex(v["re"], v["im"]) for v in json.loads(out)["values"]])
+
+
+def test_psi_koebe_closed_form_at_long_count(capsys):
+    psi = _psi_values(capsys, "koebe", "0.5")
+    assert abs(psi[0] + 2.0) <= 1e-12
+    assert abs(psi[1] - 1.0) <= 1e-12
+    assert np.max(np.abs(psi[2:])) <= 1e-12
+
+
+@pytest.mark.parametrize("fn,z", [("koebe", "0.3+0.2i"), ("rotated_koebe:theta=1.1", "0.2-0.25i")])
+def test_psi_full_mapping_exterior_area_equality(capsys, fn, z):
+    # a full mapping's exterior coefficients exhaust the area theorem: sum n|Psi_n|^2 = 1
+    psi = _psi_values(capsys, fn, z)
+    n = np.arange(psi.size)
+    assert abs(1.0 - np.sum(n * np.abs(psi) ** 2)) <= 1e-9
 
 
 def test_output_deterministic(capsys):

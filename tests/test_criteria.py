@@ -5,8 +5,6 @@ import pytest
 
 from univalence.catalog import get, list_catalog, series_at
 from univalence.criteria import (
-    boundedness_probe,
-    criterion_terms,
     decay_bound_checks,
     default_grid,
     fullmap_scan,
@@ -14,9 +12,10 @@ from univalence.criteria import (
     univalence_criterion,
 )
 from univalence.errors import NormalizationError, NotLocallyUnivalentError
+from univalence.oracles import criterion_terms
 from univalence.sequences import phi_capital_direct
 from univalence.series import gen_binomial
-from univalence.transforms import psi_via_transform
+from univalence.transforms import phi_capital_recentered, psi_via_transform
 
 KOEBE = get("koebe")
 IDENTITY = get("identity")
@@ -80,14 +79,12 @@ def test_terms_koebe_binomial():
 
 
 def test_terms_literal_matches_stable_route():
-    from univalence.criteria import _criterion_terms_stable
-
     worst = 0.0
     for fn in list_catalog():
         for lam in (0.5, 1.7):
             for zeta in (0.0, 0.35, -0.2 + 0.4j):
                 a = criterion_terms(fn, lam, zeta, 12)
-                b = _criterion_terms_stable(fn, lam, zeta, 12)
+                b = phi_capital_recentered(fn, zeta, lam, 12)[1:]
                 worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-9
 
@@ -188,11 +185,11 @@ def test_scan_rows_keep_grid_order():
 
 
 def test_probe_identity():
-    assert boundedness_probe(IDENTITY, 0.5, 0.4, 30) == pytest.approx(0.2, abs=1e-12)
+    assert univalence_criterion(IDENTITY, 0.5, 0.4, 30).sup_abs_term == pytest.approx(0.2, abs=1e-12)
 
 
 def test_probe_koebe_origin():
-    assert boundedness_probe(KOEBE, 1.0, 0.0, 10) == pytest.approx(2.0, abs=1e-12)
+    assert univalence_criterion(KOEBE, 1.0, 0.0, 10).sup_abs_term == pytest.approx(2.0, abs=1e-12)
 
 
 def test_probe_uniform_bound_for_univalent():
@@ -201,7 +198,7 @@ def test_probe_uniform_bound_for_univalent():
         if not fn.flags.univalent_on_disk:
             continue
         for zeta in (0.0, 0.3, -0.4j, 0.2 + 0.5j):
-            assert boundedness_probe(fn, 0.5, zeta, 64) <= bound + 1e-9
+            assert univalence_criterion(fn, 0.5, zeta, 64).sup_abs_term <= bound + 1e-9
 
 
 # ------------------------------------------------------------ growth bounds

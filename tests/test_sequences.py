@@ -5,15 +5,8 @@ import pytest
 
 from univalence.catalog import get, list_catalog, series_at
 from univalence.errors import EnumerationLimitError, NotLocallyUnivalentError
-from univalence.sequences import (
-    SequenceSet,
-    aharonov_phi,
-    check_phi_recurrence,
-    local_invariants,
-    phi_capital_combinatorial,
-    phi_capital_direct,
-    psi_sequence,
-)
+from univalence.oracles import check_phi_recurrence, phi_capital_combinatorial, psi_sequence
+from univalence.sequences import SequenceSet, aharonov_phi, local_invariants, phi_capital_direct
 from univalence.series import PowerSeries, gen_binomial, ps_mul, ps_recip
 from univalence.transforms import psi_via_transform
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from univalence.errors import CenterMismatchError, NonInvertibleSeriesError, NormalizationError
+from univalence.oracles import ps_compose
 from univalence.series import (
     PowerSeries,
     gen_binomial,
-    ps_compose,
     ps_derivative,
     ps_eval,
     ps_mul,

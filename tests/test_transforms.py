@@ -1,4 +1,4 @@
-"""Automorphism pullbacks, the S-normalized transform, recentering routes."""
+"""Automorphism pullbacks and the recentering routes."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,8 @@ from univalence.catalog import get, list_catalog, series_at
 from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
 from univalence.series import gen_binomial, ps_eval
-from univalence.transforms import (
-    compose_with_automorphism,
-    koebe_transform,
-    lemma2_coefficients,
-    mobius_sigma_series,
-    phi_capital_recentered,
-)
+from univalence.oracles import compose_with_automorphism, lemma2_coefficients
+from univalence.transforms import phi_capital_recentered
 
 KOEBE = get("koebe")
 IDENTITY = get("identity")
@@ -22,30 +17,34 @@ IDENTITY = get("identity")
 # -------------------------------------------------------------- sigma series
 
 
+def _sigma_series(zeta, order):
+    return series_at(get("sigma", zeta=zeta), 0.0, order)
+
+
 def test_sigma_series_zero_is_identity():
-    s = mobius_sigma_series(0.0, 5)
+    s = _sigma_series(0.0, 5)
     want = np.zeros(6)
     want[1] = 1.0
     assert np.allclose(s.coeffs, want)
 
 
 def test_sigma_series_half():
-    s = mobius_sigma_series(0.5, 2)
-    assert np.allclose(s.coeffs, [0, 0.75, -0.375], atol=1e-15)
+    s = _sigma_series(0.5, 2)
+    assert np.allclose(s.coeffs, [0.5, 0.75, -0.375], atol=1e-15)
 
 
 def test_sigma_series_coefficient_formula():
     zeta = 0.3 - 0.4j
-    s = mobius_sigma_series(zeta, 8)
+    s = _sigma_series(zeta, 8)
     k = np.arange(1, 9)
     want = (1 - abs(zeta) ** 2) * (-np.conj(zeta)) ** (k - 1)
     assert np.allclose(s.coeffs[1:], want, atol=1e-15)
-    assert s.coeffs[0] == 0.0
+    assert s.coeffs[0] == zeta
 
 
 def test_sigma_series_rejects_boundary():
     with pytest.raises(ValueError):
-        mobius_sigma_series(1.0, 4)
+        _sigma_series(1.0, 4)
 
 
 # -------------------------------------------------------------- composition
@@ -54,9 +53,7 @@ def test_sigma_series_rejects_boundary():
 def test_compose_identity_gives_shifted_sigma():
     zeta = 0.2 + 0.1j
     F = compose_with_automorphism(IDENTITY, zeta, 8)
-    sig = mobius_sigma_series(zeta, 8)
-    want = sig.coeffs.copy()
-    want[0] = zeta
+    want = _sigma_series(zeta, 8).coeffs
     assert np.max(np.abs(F.coeffs - want)) <= 1e-14
 
 
@@ -78,30 +75,6 @@ def test_compose_point_values():
     for w in (0.1, 0.05 - 0.1j):
         sig = (w + zeta) / (1 + np.conj(zeta) * w)
         assert abs(ps_eval(F, w) - complex(KOEBE.f(sig))) <= 1e-9
-
-
-# -------------------------------------------------------------- transform to S
-
-
-def test_transform_of_identity_closed_form():
-    z = 0.4 + 0.1j
-    K = koebe_transform(IDENTITY, z, 6)
-    n = np.arange(1, 7)
-    want = (-np.conj(z)) ** (n - 1)
-    assert np.max(np.abs(K.coeffs[1:] - want)) <= 1e-13
-    assert K.coeffs[0] == 0.0 and K.coeffs[1] == 1.0
-
-
-def test_transform_at_origin_fixes_class_S():
-    for fn in (KOEBE, get("quad_poly", a=0.4)):
-        K = koebe_transform(fn, 0.0, 10)
-        assert np.max(np.abs(K.coeffs - series_at(fn, 0.0, 10).coeffs)) <= 1e-13
-
-
-def test_transform_normalization_exact():
-    K = koebe_transform(KOEBE, 0.3 - 0.2j, 12)
-    assert K.coeffs[0] == 0.0
-    assert K.coeffs[1] == 1.0
 
 
 # -------------------------------------------------------------- recentering sum

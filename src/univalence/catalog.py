@@ -67,9 +67,6 @@ class CatalogFunction:
         """Pointwise derivative f'(w); accepts scalars or numpy arrays."""
         return self._df(np.asarray(w, dtype=np.complex128))
 
-    def series_at(self, center: complex, order: int) -> PowerSeries:
-        return series_at(self, center, order)
-
     @property
     def label(self) -> str:
         if not self.params:

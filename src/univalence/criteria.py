@@ -41,8 +41,8 @@ __all__ = [
 #: default slack allowed before a partial sum is declared over budget
 DEFAULT_TOL = 1e-9
 
-#: default full-mapping equality window at the default scan truncation
-DEFAULT_EPS_SCAN = 0.05
+#: full-mapping equality window at the default scan truncation
+_EPS_SCAN = 0.05
 
 Verdict = Literal["consistent", "violated", "indeterminate"]
 
@@ -79,7 +79,6 @@ class ScanRow:
 class ScanResult:
     lam: float
     N: int
-    eps_scan: float
     rows: tuple[ScanRow, ...]
     full_mapping_consistent: bool
 
@@ -193,12 +192,11 @@ def fullmap_scan(
     grid: Iterable[complex],
     N: int,
     tol: float = DEFAULT_TOL,
-    eps_scan: float = DEFAULT_EPS_SCAN,
 ) -> ScanResult:
     """Tabulate T_N and the budget gap over a zeta grid (lam <= 1 only).
 
     The summary flag ``full_mapping_consistent`` is set when every gap lies in
-    [-tol, eps_scan]: the truncated sums of a full mapping approach the budget
+    [-tol, 0.05]: the truncated sums of a full mapping approach the budget
     from below everywhere, so small positive gaps (and roundoff-size negative
     ones) are the expected signature.
     """
@@ -209,9 +207,9 @@ def fullmap_scan(
     for zeta in grid:
         rep = univalence_criterion(fn, lam, zeta, N, tol)
         rows.append(ScanRow(complex(zeta), rep.T_N, rep.margin, rep.verdict))
-        if not (-tol <= rep.margin <= eps_scan):
+        if not (-tol <= rep.margin <= _EPS_SCAN):
             ok = False
-    return ScanResult(lam, N, eps_scan, tuple(rows), ok)
+    return ScanResult(lam, N, tuple(rows), ok)
 
 
 def decay_bound_checks(

@@ -186,7 +186,6 @@ def prawitz_integral(
     lam: float,
     z: complex,
     mesh: MeshSpec | None = None,
-    delta: float | None = None,
 ) -> QuadratureResult:
     """The weighted area integral bounded by 1/lam for univalent functions.
 
@@ -219,8 +218,7 @@ def prawitz_integral(
         raise ValueError(
             "mesh must be centered at z: the power branch is continued along rays from z"
         )
-    if delta is None:
-        delta = _default_delta(z)
+    delta = _default_delta(z)
 
     P_series = _pullback_kernel_series(fn, z, lam)
     fz = complex(fn.f(z))
@@ -300,7 +298,6 @@ def grunsky_norm(
     fn: CatalogFunction,
     z: complex,
     mesh: MeshSpec | None = None,
-    delta: float | None = None,
 ) -> QuadratureResult:
     """U_f(z): the L2 norm over the disk of the Grunsky kernel at z.
 
@@ -314,11 +311,9 @@ def grunsky_norm(
         raise ValueError("|z| must be < 1")
     if mesh is None:
         mesh = MeshSpec(center=z)
-    if delta is None:
-        delta = _default_delta(z)
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        return np.abs(grunsky_kernel_point(fn, z, w, delta)) ** 2
+        return np.abs(grunsky_kernel_point(fn, z, w)) ** 2
 
     raw = integrate_disk(integrand, mesh)
     value = math.sqrt(max(raw.value, 0.0))
@@ -329,12 +324,23 @@ def grunsky_norm(
     return QuadratureResult(value=value, error_estimate=err, mesh=mesh)
 
 
+def _identity_residual(fn: CatalogFunction, z: complex, N: int, norm: QuadratureResult) -> float:
+    """Relative residual of the exterior-sum identity against a computed Grunsky norm at z."""
+    if N < 32:
+        raise ValueError("N must be >= 32 for a meaningful truncated sum")
+    z = complex(z)
+    psi = psi_via_transform(fn, z, N)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
+    rhs = (1.0 - abs(z) ** 2) ** 2 * norm.value**2
+    return abs(lhs - rhs) / max(1e-12, lhs, rhs)
+
+
 def psi_grunsky_identity_check(
     fn: CatalogFunction,
     z: complex,
     N: int,
     mesh: MeshSpec | None = None,
-    delta: float | None = None,
 ) -> float:
     """Relative residual of sum_{n<=N} n |Psi_n(f;z)|^2 = (1-|z|^2)^2 U_f(z)^2.
 
@@ -342,12 +348,4 @@ def psi_grunsky_identity_check(
     large n); the right side is the quadrature norm.  The residual is
     normalized by the larger side, floored at 1e-12.
     """
-    if N < 32:
-        raise ValueError("N must be >= 32 for a meaningful truncated sum")
-    z = complex(z)
-    psi = psi_via_transform(fn, z, N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
-    gn = grunsky_norm(fn, z, mesh, delta)
-    rhs = (1.0 - abs(z) ** 2) ** 2 * gn.value**2
-    return abs(lhs - rhs) / max(1e-12, lhs, rhs)
+    return _identity_residual(fn, z, N, grunsky_norm(fn, z, mesh))

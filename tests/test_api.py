@@ -26,6 +26,7 @@ DELETED = (
     "koebe_transform",
     "mobius_sigma_series",
     "_horner_scalar",
+    "_radial_branch_anchor",
 )
 
 PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")

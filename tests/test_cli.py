@@ -1,10 +1,15 @@
 """Command-line interface: output schemas, determinism, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import univalence
 from univalence.cli import run
 
 
@@ -165,6 +170,10 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta=-1"], 2, "--zeta"),
         (["criterion", "--fn", "quad_poly:a=0.6", "--lambda", "0.5",
           "--zeta=-0.8333333333333334", "--N", "8"], 1, "f'(z)=0"),
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "1024"], 2, "--N"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "1024"], 2, "--N"),
+        (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "1023"], 2, "--count"),
+        (["grunsky", "--fn", "koebe", "--N", "1023"], 2, "--N"),
     ],
 )
 def test_exit_code_table(capsys, argv, code, named):
@@ -222,3 +231,19 @@ def test_selftest_passes(capsys):
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_module_entry_point_prints_json():
+    src = str(pathlib.Path(univalence.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "univalence.cli", "series", "--fn", "koebe", "--count", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["coeffs"] == [
+        {"re": 0, "im": 0}, {"re": 1, "im": 0}, {"re": 2, "im": 0}
+    ]

@@ -130,6 +130,16 @@ def test_criterion_soundness_subset():
             assert rep.verdict == "consistent", (fn.label, zeta, rep.T_N)
 
 
+def test_criterion_power_branch_anchor_off_principal_sheet():
+    # here the unwrapped phase of q around the sampling circle sits a full turn
+    # off the continuous branch; without the 2 pi shift the power lands on the
+    # wrong sheet, the normalization check rejects rho = 0.95 and the sum at
+    # rho = 0.9 reads as a violation
+    rep = univalence_criterion(get("rotated_koebe", theta=1.1), 0.5, -0.435 - 0.116j, 300)
+    assert rep.verdict == "consistent"
+    assert -1e-9 <= rep.margin <= 0.05
+
+
 def test_criterion_partial_sums_monotone_for_small_lambda():
     rep = univalence_criterion(KOEBE, 0.5, 0.3 + 0.2j, 64)
     n = np.arange(1, 65)

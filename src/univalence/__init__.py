@@ -28,6 +28,7 @@ from .errors import (
     NormalizationError,
     NotLocallyUnivalentError,
     QuadratureError,
+    SeriesOverflowError,
     SingularSampleError,
     UnivalenceError,
 )

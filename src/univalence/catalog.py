@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SeriesOverflowError
 from .series import PowerSeries
 
 __all__ = [
@@ -89,14 +89,24 @@ def series_at(fn: CatalogFunction, center: complex, order: int) -> PowerSeries:
     """Taylor expansion of ``fn`` about ``center`` (|center| < 1) to ``order``.
 
     Returned even where the function is not locally univalent (c_1 may then
-    be zero); downstream operations decide whether that is an error.
+    be zero); downstream operations decide whether that is an error.  Raises
+    :class:`SeriesOverflowError` when a coefficient up to ``order`` leaves the
+    double range, which happens at high order close to a singularity.
     """
     center = complex(center)
     if abs(center) >= 1.0:
         raise ValueError(f"center {center} outside the open unit disk")
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = fn._coeffs(center, order)
+    # the closed forms raise powers of 1/(1 - a); non-finite results are refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs = fn._coeffs(center, order)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise SeriesOverflowError(
+            f"{fn.label}: Taylor coefficients about {_fmt_param(center)} leave the "
+            f"double range at index {bad[0]}; order {order} cannot be expanded there"
+        )
     return PowerSeries(center, coeffs)
 
 

@@ -31,13 +31,15 @@ _MINIMUM = {
     ("grunsky", "N"): 32,
 }
 
-#: largest accepted value of each integer flag sizing a recentering-engine call, by
-#: subcommand or sequence kind; Psi_0..Psi_count needs coefficients up to count + 1
+#: largest accepted value of each integer flag, by subcommand or sequence kind, with
+#: the reason: the recentering engine's sample budget (Psi_0..Psi_count needs its
+#: coefficients up to count + 1), or the O(N^3) majorant sums of ``bounds`` (1 s at 200)
 _MAXIMUM = {
-    ("criterion", "N"): transforms.MAX_COUNT,
-    ("scan", "N"): transforms.MAX_COUNT,
-    ("Psi", "count"): transforms.MAX_COUNT - 1,
-    ("grunsky", "N"): transforms.MAX_COUNT - 1,
+    ("criterion", "N"): (transforms.MAX_COUNT, "sample budget"),
+    ("scan", "N"): (transforms.MAX_COUNT, "sample budget"),
+    ("Psi", "count"): (transforms.MAX_COUNT - 1, "sample budget"),
+    ("grunsky", "N"): (transforms.MAX_COUNT - 1, "sample budget"),
+    ("bounds", "N"): (200, "majorant cost"),
 }
 
 
@@ -169,9 +171,9 @@ def _check_flags(args) -> None:
         low = _MINIMUM.get((args.command, dest))
         if low is not None and value < low:
             raise ConfigError(f"--{dest}", f"must be >= {low}, got {value}")
-        high = _MAXIMUM.get((getattr(args, "kind", args.command), dest))
+        high, reason = _MAXIMUM.get((getattr(args, "kind", args.command), dest), (None, None))
         if high is not None and value > high:
-            raise ConfigError(f"--{dest}", f"must be <= {high} (sample budget), got {value}")
+            raise ConfigError(f"--{dest}", f"must be <= {high} ({reason}), got {value}")
     lam = getattr(args, "lam", None)
     if lam is None:
         if getattr(args, "kind", None) == "Phi":

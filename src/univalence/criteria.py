@@ -238,21 +238,25 @@ def decay_bound_checks(
     Phi = phi_capital_direct(s, lam, N).values
     omz = 1.0 - abs(z) ** 2
     az = abs(z)
+    # the same binomials recur for every n, so they are tabulated once:
+    # lam_binom[m] = binom(lam, m) and int_binom[j][m] = binom(j-1, m), m <= j
+    lam_binom = [gen_binomial(lam, m) for m in range(N + 1)]
+    int_binom = [[gen_binomial(j - 1, m) for m in range(j + 1)] for j in range(N + 1)]
     rows = []
     worst = math.inf
     for n in range(1, N + 1):
         phi_rhs = sum(
-            gen_binomial(n - 1, k - 1) * az ** (n - k) / math.sqrt(k)
+            int_binom[n][k - 1] * az ** (n - k) / math.sqrt(k)
             for k in range(1, n + 1)
         )
         phi_lhs = omz ** (n + 1) * abs(phi[n])
         cap_rhs = 0.0
         for j in range(n + 1):
-            outer = gen_binomial(lam, n - j)
+            outer = lam_binom[n - j]
             if outer == 0.0:
                 continue
             for k in range(j + 1):
-                b = gen_binomial(j - 1, j - k)
+                b = int_binom[j][j - k]
                 if b == 0.0:
                     continue
                 cap_rhs += (

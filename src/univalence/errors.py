@@ -37,6 +37,10 @@ class EnumerationLimitError(UnivalenceError, ValueError):
     """Combinatorial enumeration requested beyond the supported index range."""
 
 
+class SeriesOverflowError(UnivalenceError, ArithmeticError):
+    """A closed-form expansion leaves the double range before the requested order."""
+
+
 class QuadratureError(UnivalenceError, ArithmeticError):
     """Disk integration could not be carried out safely."""
 

@@ -6,6 +6,15 @@ operations are pure functions of immutable inputs and truncate at the order
 of their shortest operand.  Coefficients are double-precision complex; the
 recurrences below are exact given exact inputs, so closed-form input series
 keep near machine accuracy through reciprocal and powers.
+
+The reciprocal and real-power recurrences are evaluated in blocks of
+``_BLOCK`` coefficients.  The first block, indices below ``_BLOCK``, is the
+literal per-coefficient recurrence.  For each later block [s, e) the part of
+every sum over the known coefficients b_0..b_{s-1} (the block's history) is
+one ``np.convolve`` in C; only the terms inside the block stay sequential.
+Each coefficient is still a sum over its own terms, so rounding stays local,
+unlike a Newton iteration on FFT products, whose rounding scales with the
+norm of the whole vector.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ __all__ = [
 
 #: constant-term tolerance for normalized bases (`ps_pow_real`)
 _UNIT_TOL = 1e-12
+
+#: coefficients per block of the reciprocal and real-power recurrences
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +125,15 @@ def ps_recip(a: PowerSeries) -> PowerSeries:
     n = a.order
     b = np.zeros(n + 1, dtype=np.complex128)
     b[0] = 1.0 / c[0]
-    for k in range(1, n + 1):
+    for k in range(1, min(n, _BLOCK - 1) + 1):
         b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    for s in range(_BLOCK, n + 1, _BLOCK):
+        e = min(s + _BLOCK, n + 1)
+        # hist[k - s] = sum_{i<s} c_{k-i} b_i; the block then solves the lower
+        # triangular Toeplitz system with first column c[:e-s], whose inverse
+        # has first column b[:e-s], already known because e - s <= s
+        hist = np.convolve(c[1:e], b[:s], "valid")
+        b[s:e] = -np.convolve(b[: e - s], hist)[: e - s]
     return PowerSeries(a.center, b)
 
 
@@ -141,12 +160,25 @@ def ps_pow_real(a: PowerSeries, lam: float) -> PowerSeries:
     n = a.order
     b = np.zeros(n + 1, dtype=np.complex128)
     b[0] = 1.0
-    if n == 0:
-        return PowerSeries(a.center, b)
     ks = np.arange(n + 1, dtype=np.float64)
-    for m in range(1, n + 1):
+    for m in range(1, min(n, _BLOCK - 1) + 1):
         w = (lam + 1.0) * ks[1 : m + 1] - m
         b[m] = np.dot(w * c[1 : m + 1], b[m - 1 :: -1]) / m
+    if n < _BLOCK:
+        return PowerSeries(a.center, b)
+    u = (lam + 1.0) * ks * c
+    # lag[j, t] = j - t: the index k of c_k pairing b_{s+j} with b_{s+t}, t < j
+    lag = np.maximum(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)), 0)
+    for s in range(_BLOCK, n + 1, _BLOCK):
+        e = min(s + _BLOCK, n + 1)
+        # history: sum_{i<s} ((lam+1)(m-i) - m) c_{m-i} b_i for m in [s, e)
+        hist = np.convolve(u[1:e], b[:s], "valid") - ks[s:e] * np.convolve(c[1:e], b[:s], "valid")
+        # the 1/m of the recurrence is not Toeplitz, so the block stays a short loop
+        g = lag[: e - s, : e - s]
+        w = ((lam + 1.0) * g - ks[s:e, None]) * c[g]
+        x = b[s:e]
+        for j, h in enumerate(hist.tolist()):
+            x[j] = (h + np.dot(w[j, :j], x[:j])) / (s + j)
     return PowerSeries(a.center, b)
 
 

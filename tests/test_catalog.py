@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from univalence.catalog import from_spec, get, list_catalog, parse_complex, series_at
-from univalence.errors import ConfigError
+from univalence.errors import ConfigError, SeriesOverflowError
 from univalence.series import ps_eval
 
 
@@ -26,6 +26,14 @@ def test_exp_scale_series():
 def test_center_outside_disk_rejected():
     with pytest.raises(ValueError):
         series_at(get("koebe"), 1.2, 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec,center", [("koebe", 0.3), ("sigma:zeta=0.9", -0.95 + 0.2j)])
+def test_series_overflow_is_a_typed_refusal(spec, center):
+    # 1/(1-a)^k overflows (koebe), or 1/(1+conj(zeta) a)^k underflows to a zero divisor (sigma)
+    with pytest.raises(SeriesOverflowError, match="order 4096"):
+        series_at(from_spec(spec), center, 4096)
 
 
 # ------------------------------------------------------------------ flags

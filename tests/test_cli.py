@@ -174,12 +174,16 @@ def test_numeric_error_exit_code(capsys):
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "1024"], 2, "--N"),
         (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "1023"], 2, "--count"),
         (["grunsky", "--fn", "koebe", "--N", "1023"], 2, "--N"),
+        (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "201"], 2, "--N"),
+        (["series", "--fn", "koebe", "--z", "0.3", "--count", "4096"], 1, "about 0.3 leave"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_table(capsys, argv, code, named):
     got, out, err = _capture(capsys, argv)
     assert (got, out) == (code, "")
     assert named in err
+    assert "RuntimeWarning" not in err
 
 
 def _psi_values(capsys, fn, z):
@@ -233,17 +237,29 @@ def test_selftest_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_module_entry_point_prints_json():
+def _run_module(*argv):
     src = str(pathlib.Path(univalence.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "univalence.cli", "series", "--fn", "koebe", "--count", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "univalence.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
+
+
+def test_module_entry_point_prints_json():
+    proc = _run_module("series", "--fn", "koebe", "--count", "2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["coeffs"] == [
         {"re": 0, "im": 0}, {"re": 1, "im": 0}, {"re": 2, "im": 0}
     ]
+
+
+def test_series_overflow_refused_without_numpy_warnings():
+    # the expansion overflows at index ~2000; the refusal names the center and the order
+    proc = _run_module("series", "--fn", "koebe", "--z", "0.3", "--count", "4096")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "about 0.3" in proc.stderr and "order 4096" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

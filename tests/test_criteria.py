@@ -1,5 +1,7 @@
 """Area sums, criterion reports, scans, probes and growth bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,29 @@ def test_decay_koebe_equality_boundary():
 def test_decay_koebe_interior():
     rep = decay_bound_checks(KOEBE, 0.4, 10, 0.7)
     assert rep.worst_slack >= -1e-10
+
+
+def _literal_majorants(az, lam, n):
+    # both right-hand sides with every binomial evaluated inside the loops, as printed
+    phi_rhs = sum(gen_binomial(n - 1, k - 1) * az ** (n - k) / math.sqrt(k) for k in range(1, n + 1))
+    cap_rhs = 0.0
+    for j in range(n + 1):
+        outer = gen_binomial(lam, n - j)
+        if outer == 0.0:
+            continue
+        for k in range(j + 1):
+            b = gen_binomial(j - 1, j - k)
+            if b == 0.0:
+                continue
+            cap_rhs += outer * b * math.sqrt(lam) / math.sqrt(abs(k - lam)) * az ** (n - k)
+    return phi_rhs, cap_rhs
+
+
+def test_decay_majorant_tables_match_literal_loops():
+    z, lam = 0.3 - 0.2j, 0.7
+    rep = decay_bound_checks(CAYLEY, z, 40, lam)
+    for row in rep.rows:
+        assert (row.phi_rhs, row.cap_rhs) == _literal_majorants(abs(z), lam, row.n)
 
 
 def test_decay_requires_univalent_flag():

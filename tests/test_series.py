@@ -240,6 +240,70 @@ def test_pow_differential_identity(lam):
     assert np.max(np.abs(lhs.coeffs - lam * rhs.coeffs)) <= 1e-11
 
 
+# ---------------------------------------------------------------- blocked kernels
+
+
+def _recip_loop(c):
+    # the per-coefficient reciprocal recurrence, kept as the reference for the first block
+    b = np.zeros(len(c), dtype=np.complex128)
+    b[0] = 1.0 / c[0]
+    for k in range(1, len(c)):
+        b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    return b
+
+
+def _pow_loop(c, lam):
+    # the per-coefficient real-power recurrence, kept as the reference for the first block
+    b = np.zeros(len(c), dtype=np.complex128)
+    b[0] = 1.0
+    ks = np.arange(len(c), dtype=np.float64)
+    for m in range(1, len(c)):
+        w = (lam + 1.0) * ks[1 : m + 1] - m
+        b[m] = np.dot(w * c[1 : m + 1], b[m - 1 :: -1]) / m
+    return b
+
+
+#: a rotation that makes every coefficient of the test series complex
+ROT = np.exp(1.1j)
+BLOCK_ORDERS = [127, 128, 129, 255, 256, 1000, 4096]
+
+
+@pytest.mark.parametrize("order", [1, 2, 17, 64, 126, 127])
+def test_kernels_below_first_block_match_loop_bitwise(order):
+    a = _unit_series(13, order)
+    assert np.array_equal(ps_recip(a).coeffs, _recip_loop(a.coeffs))
+    for lam in (0.37, 1.7, -0.4):
+        assert np.array_equal(ps_pow_real(a, lam).coeffs, _pow_loop(a.coeffs, lam))
+    k = np.arange(order + 1)
+    koebe = S((k + 1) * ROT**k)
+    assert np.array_equal(ps_recip(koebe).coeffs, _recip_loop(koebe.coeffs))
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+@pytest.mark.parametrize("u", [ROT, 0.99 * ROT], ids=["unit", "inside"])
+def test_recip_rotated_koebe_across_blocks(order, u):
+    # 1 / sum (k+1) u^k t^k = (1 - u t)^2 exactly; with |u| = 1, conj(u) = 1/u, so
+    # only the |u| < 1 case tells a convolution from a conjugating correlation
+    k = np.arange(order + 1)
+    out = ps_recip(S((k + 1) * u**k)).coeffs
+    want = np.zeros(order + 1, dtype=complex)
+    want[:3] = [1.0, -2.0 * u, u**2]
+    assert np.max(np.abs(out - want)) <= 2e-8
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+@pytest.mark.parametrize("lam", [0.37, 1.7, -0.4])
+def test_pow_rotated_linear_across_blocks(order, lam):
+    # (1 - u t)^lam = sum binom(lam, n) (-u)^n t^n
+    base = np.zeros(order + 1, dtype=complex)
+    base[:2] = [1.0, -ROT]
+    out = ps_pow_real(S(base), lam).coeffs
+    n = np.arange(1, order + 1)
+    binom = np.concatenate(([1.0], np.cumprod((lam - n + 1) / n)))
+    want = binom * (-ROT) ** np.arange(order + 1)
+    assert np.max(np.abs(out - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
 # ---------------------------------------------------------------- compose
 
 

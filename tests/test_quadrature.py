@@ -197,6 +197,35 @@ def test_psi_identity_requires_truncation_depth():
         psi_grunsky_identity_check(KOEBE, 0.0, 16, FAST)
 
 
+@pytest.mark.parametrize(
+    "compute,value,error",
+    [
+        (lambda: prawitz_integral(KOEBE, 0.5, 0.0), 2.0, 4.440892098500626e-16),
+        (
+            lambda: prawitz_integral(get("rotated_koebe", theta=1.1), 0.3, 0.2 - 0.15j),
+            3.3310030606546888,
+            0.009803679150920619,
+        ),
+        (
+            lambda: prawitz_integral(CAYLEY, 1.0, 0.25 + 0.1j),
+            6.477140087012644e-29,
+            2.1085946420422677e-30,
+        ),
+        (lambda: grunsky_norm(KOEBE, 0.3), 1.0989010989011012, 1.9195756095768916e-15),
+    ],
+    ids=["area-koebe", "area-rotated-koebe", "area-cayley", "norm-koebe"],
+)
+def test_default_mesh_results_are_pinned(compute, value, error):
+    # exact figures on the default 256^2 + 512^2 mesh: a rewrite of the rule or
+    # of the integrands must reproduce them bit for bit
+    res = compute()
+    assert (res.value, res.error_estimate) == (value, error)
+
+
+def test_identity_check_residual_is_pinned():
+    assert psi_grunsky_identity_check(KOEBE, 0.2 + 0.1j, 64) == 3.996802888650549e-15
+
+
 def test_error_estimate_brackets_known_value():
     # the refinement estimate should not grossly understate the true error
     res = prawitz_integral(KOEBE, 1.0, 0.3, MeshSpec(64, 64, 2.0, 0.3))

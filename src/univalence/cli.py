@@ -42,6 +42,11 @@ _MAXIMUM = {
     ("bounds", "N"): (200, "majorant cost"),
 }
 
+#: largest accepted radial and angular node count R, A of ``--mesh``, with the
+#: reason: the fine pass integrates on 2R x 2A nodes and builds a 2R-point
+#: Gauss-Legendre rule from a 2R x 2R companion matrix
+_MESH_MAXIMUM = (1024, "quadrature cost")
+
 
 # --------------------------------------------------------------------------
 # deterministic rendering
@@ -188,9 +193,12 @@ def _parse_mesh(spec: str | None, center: complex) -> MeshSpec:
     parts = spec.split(",")
     if len(parts) != 3:
         raise ConfigError("--mesh", f"expected R,A,grading, got {spec!r}")
+    high, reason = _MESH_MAXIMUM
     try:
         radial, angular = int(parts[0]), int(parts[1])
         grading = float(parts[2])
+        if max(radial, angular) > high:
+            raise ValueError(f"node counts must be <= {high} ({reason}), got {spec!r}")
         return MeshSpec(
             radial_nodes=radial, angular_nodes=angular, grading=grading, center=center
         )

@@ -6,16 +6,20 @@ each ray up to the exact chord length, and equal angular weights at equally
 spaced angles offset half a step from zero (the periodic rectangle rule, so
 spectrally accurate for smooth integrands).  Node weights and values live in
 fixed-shape arrays and are reduced by numpy's pairwise summation, so results
-are run-to-run identical.
+are run-to-run identical.  Each Gauss-Legendre rule is built once per node
+count per process (on first use, never at import) and shared read-only.
 
 The integrands here are smooth except at w = z.  Inside a small radius delta
 the kernels are evaluated from truncated series in w - z (which are smooth by
-construction); outside they use closed-form point values, with the branch of
-the fractional power audited along every ray before integration.
+construction); the closed-form point values are evaluated only outside delta,
+with the branch of the fractional power audited along every ray before
+integration.  The series and the point values f(z), f'(z) are built once per
+integral and shared by its coarse and fine mesh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,7 +37,7 @@ from .series import (
     ps_pow_real,
     ps_recip,
 )
-from .transforms import psi_via_transform
+from .transforms import MAX_COUNT, psi_via_transform
 
 __all__ = [
     "MeshSpec",
@@ -61,8 +65,8 @@ class MeshSpec:
     def __post_init__(self):
         if self.radial_nodes < 8 or self.angular_nodes < 8:
             raise ValueError("node counts must be >= 8")
-        if self.grading < 1.0:
-            raise ValueError("grading exponent must be >= 1")
+        if not (math.isfinite(self.grading) and self.grading >= 1.0):
+            raise ValueError(f"grading exponent must be finite and >= 1, got {self.grading!r}")
         if abs(self.center) >= 1.0:
             raise ValueError("mesh center must lie inside the disk")
         object.__setattr__(self, "center", complex(self.center))
@@ -93,8 +97,17 @@ def _chord_lengths(center: complex, unit: np.ndarray) -> np.ndarray:
     return -p + np.sqrt(1.0 - abs(center) ** 2 + p * p)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    wx.flags.writeable = False
+    return x, wx
+
+
 def _polar_rule(mesh: MeshSpec, radial_nodes: int, angular_nodes: int):
-    x, wx = np.polynomial.legendre.leggauss(radial_nodes)
+    x, wx = _gauss_legendre(radial_nodes)
     u = 0.5 * (x + 1.0)  # interior nodes only, never the polar origin
     wu = 0.5 * wx
     A = angular_nodes
@@ -232,8 +245,7 @@ def prawitz_integral(
         at = np.abs(t)
         # q on every node: the innermost node of each ray sits against the
         # center where q ~ 1, anchoring the phase continuation for the ray
-        F = fn.f(w)
-        dF = F - fz
+        dF = fn.f(w) - fz
         q = fpz * t / dF
         ang = np.angle(q)
         if np.max(np.abs(ang[0, :])) > 0.5:
@@ -241,9 +253,15 @@ def prawitz_integral(
                 "branch anchor failed: q is not close to 1 at the innermost nodes"
             )
         phase = np.unwrap(ang, axis=0)
-        power_q = np.exp(lam * (np.log(np.abs(q)) + 1j * phase))
-        P = fn.df(w) * t / dF * power_q - (omz / (1.0 - zb * w)) ** (1.0 - lam)
         near = at < delta
+        far = ~near
+        # the closed form only where it is used; q and its phase are dropped
+        # once their far-node copies are taken, which keeps the peak down
+        wf, t, dF = w[far], t[far], dF[far]
+        power_q = np.exp(lam * (np.log(np.abs(q[far])) + 1j * phase[far]))
+        del q, phase
+        P = np.empty_like(w)
+        P[far] = fn.df(wf) * t / dF * power_q - (omz / (1.0 - zb * wf)) ** (1.0 - lam)
         if np.any(near):
             P[near] = ps_eval(P_series, w[near])
         return prefactor * np.abs(P) ** 2 / at ** (2.0 * (1.0 + lam))
@@ -262,6 +280,28 @@ def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
     return PowerSeries(z, -(n * phi[1:]))
 
 
+def _grunsky_kernel(
+    fn: CatalogFunction, z: complex, delta: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """U(f;z,.) on complex arrays, with its series and f(z), f'(z) built once."""
+    U_series = _grunsky_series(fn, z)
+    fz = complex(fn.f(z))
+    fpz = complex(fn.df(z))
+
+    def kernel(warr: np.ndarray) -> np.ndarray:
+        near = np.abs(warr - z) < delta
+        far = ~near
+        out = np.empty_like(warr)
+        if np.any(far):
+            wf = warr[far]
+            out[far] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
+        if np.any(near):
+            out[near] = ps_eval(U_series, warr[near])
+        return out
+
+    return kernel
+
+
 def grunsky_kernel_point(
     fn: CatalogFunction,
     z: complex,
@@ -277,18 +317,7 @@ def grunsky_kernel_point(
     z = complex(z)
     if delta is None:
         delta = _default_delta(z)
-    U_series = _grunsky_series(fn, z)
-    fz = complex(fn.f(z))
-    fpz = complex(fn.df(z))
-    warr = np.asarray(w, dtype=np.complex128)
-    t = warr - z
-    near = np.abs(t) < delta
-    out = np.empty_like(warr)
-    if np.any(~near):
-        wf = warr[~near]
-        out[~near] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
-    if np.any(near):
-        out[near] = ps_eval(U_series, warr[near])
+    out = _grunsky_kernel(fn, z, delta)(np.asarray(w, dtype=np.complex128))
     if np.ndim(w) == 0:
         return complex(out)
     return out
@@ -312,8 +341,10 @@ def grunsky_norm(
     if mesh is None:
         mesh = MeshSpec(center=z)
 
+    kernel = _grunsky_kernel(fn, z, _default_delta(z))
+
     def integrand(w: np.ndarray) -> np.ndarray:
-        return np.abs(grunsky_kernel_point(fn, z, w)) ** 2
+        return np.abs(kernel(w)) ** 2
 
     raw = integrate_disk(integrand, mesh)
     value = math.sqrt(max(raw.value, 0.0))
@@ -326,8 +357,6 @@ def grunsky_norm(
 
 def _identity_residual(fn: CatalogFunction, z: complex, N: int, norm: QuadratureResult) -> float:
     """Relative residual of the exterior-sum identity against a computed Grunsky norm at z."""
-    if N < 32:
-        raise ValueError("N must be >= 32 for a meaningful truncated sum")
     z = complex(z)
     psi = psi_via_transform(fn, z, N)
     n = np.arange(1, N + 1, dtype=np.float64)
@@ -348,4 +377,10 @@ def psi_grunsky_identity_check(
     large n); the right side is the quadrature norm.  The residual is
     normalized by the larger side, floored at 1e-12.
     """
+    # both limits are checked before the quadrature, which costs far more
+    # than the sum; Psi_0..Psi_N needs the engine's coefficients up to N + 1
+    if N < 32:
+        raise ValueError("N must be >= 32 for a meaningful truncated sum")
+    if N > MAX_COUNT - 1:
+        raise ValueError(f"N must be <= {MAX_COUNT - 1} for the sample budget")
     return _identity_residual(fn, z, N, grunsky_norm(fn, z, mesh))

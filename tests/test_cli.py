@@ -176,6 +176,10 @@ def test_numeric_error_exit_code(capsys):
         (["grunsky", "--fn", "koebe", "--N", "1023"], 2, "--N"),
         (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "201"], 2, "--N"),
         (["series", "--fn", "koebe", "--z", "0.3", "--count", "4096"], 1, "about 0.3 leave"),
+        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,nan"], 2, "--mesh"),
+        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,inf"], 2, "--mesh"),
+        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "1025,24,2"], 2, "--mesh"),
+        (["grunsky", "--fn", "koebe", "--mesh", "24,1025,2"], 2, "--mesh"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

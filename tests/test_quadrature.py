@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from univalence import quadrature
 from univalence.catalog import get, list_catalog
 from univalence.errors import SingularSampleError
 from univalence.quadrature import (
@@ -33,8 +34,35 @@ def test_meshspec_validation():
         MeshSpec(radial_nodes=4)
     with pytest.raises(ValueError):
         MeshSpec(grading=0.5)
+    for grading in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            MeshSpec(grading=grading)
     with pytest.raises(ValueError):
         MeshSpec(center=1.0)
+
+
+def test_rules_are_built_once_per_node_count(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quadrature._gauss_legendre.cache_clear()
+    prawitz_integral(KOEBE, 0.5, 0.0)
+    grunsky_norm(KOEBE, 0.3)
+    # the coarse and the fine radial rule, each once for both integrals
+    assert built == [256, 512]
+
+
+def test_cached_rule_is_read_only():
+    x, wx = quadrature._gauss_legendre(16)
+    assert quadrature._gauss_legendre(16)[0] is x
+    assert not (x.flags.writeable or wx.flags.writeable)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_quadrature_result_validation():
@@ -192,9 +220,17 @@ def test_psi_identity_residual_koebe():
     assert psi_grunsky_identity_check(KOEBE, 0.3, 64, mesh) <= 2e-2
 
 
-def test_psi_identity_requires_truncation_depth():
-    with pytest.raises(ValueError):
-        psi_grunsky_identity_check(KOEBE, 0.0, 16, FAST)
+def test_psi_identity_requires_truncation_depth(monkeypatch):
+    # refused before the quadrature runs, not after a full norm
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the integrand must not be evaluated")
+
+    monkeypatch.setattr(quadrature, "integrate_disk", no_quadrature)
+    for N in (16, 31):
+        with pytest.raises(ValueError, match="N must be >= 32"):
+            psi_grunsky_identity_check(KOEBE, 0.0, N, FAST)
+    with pytest.raises(ValueError, match="sample budget"):
+        psi_grunsky_identity_check(KOEBE, 0.0, 1023, FAST)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from univalence.catalog import get, list_catalog, series_at
+from univalence.catalog import from_spec, get, list_catalog, series_at
 from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
 from univalence.series import gen_binomial, ps_eval
@@ -157,3 +157,26 @@ def test_recentered_engine_rejects_critical_point():
     qp = get("quad_poly", a=0.6)
     with pytest.raises(UnivalenceError):
         phi_capital_recentered(qp, -5.0 / 6.0, 0.5, 8)
+
+
+@pytest.mark.parametrize(
+    "spec,zeta,lam,N,last,T",
+    [
+        ("koebe", 0.3 + 0.1j, 0.5, 16,
+         -1.3554424776457047e-11 + 7.794055745884012e-12j, 0.5),
+        ("rotated_koebe:theta=1.1", -0.435 - 0.116j, 0.5, 89,
+         1.334819936610378e-13 + 5.883910862525921e-14j, 0.4999999999999999),
+        ("exp_scale:k=6", -0.3j, 0.5, 8,
+         -0.08706454174218983 - 0.5063463848811692j, 7.528692699135718),
+        ("cayley", 0.2 - 0.15j, 1.7, 40,
+         -1.269545647816738e-05 - 1.536121882131998e-05j, -1.910851081775129),
+        ("bounded:b=0.5", -0.2 + 0.3j, 0.7, 89,
+         -3.550536263568598e-16 + 1.3425172882941642e-16j, 0.07300016103526788),
+    ],
+)
+def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):
+    # below N = 90 off the origin the engine samples 4096 points on |w| = 0.95
+    A = phi_capital_recentered(from_spec(spec), zeta, lam, N)
+    n = np.arange(1, N + 1)
+    assert complex(A[N]) == last
+    assert float(np.sum((n - lam) * np.abs(A[1:]) ** 2)) == T

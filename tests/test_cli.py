@@ -26,10 +26,10 @@ def test_criterion_json_payload(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == 1
-    assert payload["T_N"] == 0.5
-    assert payload["margin"] == 0.0
+    assert payload["T_N"] == pytest.approx(0.5, abs=1e-15)
+    assert payload["margin"] == pytest.approx(0.0, abs=1e-15)
     assert payload["verdict"] == "consistent"
-    assert payload["terms"][0] == {"re": -1.0, "im": 0.0}
+    assert payload["terms"][0] == pytest.approx({"re": -1.0, "im": 0.0}, abs=1e-15)
 
 
 def test_sequence_identity_all_zero(capsys):
@@ -170,10 +170,10 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta=-1"], 2, "--zeta"),
         (["criterion", "--fn", "quad_poly:a=0.6", "--lambda", "0.5",
           "--zeta=-0.8333333333333334", "--N", "8"], 1, "f'(z)=0"),
-        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "1024"], 2, "--N"),
-        (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "1024"], 2, "--N"),
-        (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "1023"], 2, "--count"),
-        (["grunsky", "--fn", "koebe", "--N", "1023"], 2, "--N"),
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "4097"], 2, "--N"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "4097"], 2, "--N"),
+        (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4097"], 2, "--count"),
+        (["grunsky", "--fn", "koebe", "--N", "4097"], 2, "--N"),
         (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "201"], 2, "--N"),
         (["series", "--fn", "koebe", "--z", "0.3", "--count", "4096"], 1, "about 0.3 leave"),
         (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,nan"], 2, "--mesh"),
@@ -230,7 +230,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     payload = json.loads(path.read_text())
-    assert payload["T_N"] == 0.5
+    assert payload["T_N"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_selftest_passes(capsys):

@@ -138,10 +138,11 @@ def test_recentered_engine_identity_closed_form():
     assert np.max(np.abs(A - want)) <= 1e-12
 
 
-def test_recentered_engine_zero_shift_uses_plain_series():
-    A = phi_capital_recentered(KOEBE, 0.0, 0.5, 10)
-    want = phi_capital_direct(series_at(KOEBE, 0.0, 12), 0.5, 10).values
-    assert np.array_equal(A, want)
+def test_recentered_engine_zero_shift_matches_plain_series():
+    for lam in (0.5, 0.7, 1.7):
+        A = phi_capital_recentered(KOEBE, 0.0, lam, 10)
+        want = phi_capital_direct(series_at(KOEBE, 0.0, 12), lam, 10).values
+        assert np.max(np.abs(A - want)) <= 1e-14
 
 
 def test_recentered_engine_radius_fallback():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import catalog, criteria, quadrature, sequences, transforms
@@ -32,13 +33,13 @@ _MINIMUM = {
 }
 
 #: largest accepted value of each integer flag, by subcommand or sequence kind, with
-#: the reason: the recentering engine's sample budget (Psi_0..Psi_count needs its
-#: coefficients up to count + 1), or the O(N^3) majorant sums of ``bounds`` (1 s at 200)
+#: the reason: the recentering engine's cost grows with the count (Psi_0..Psi_count
+#: needs its coefficients up to count + 1), and ``bounds`` sums O(N^3) majorants (1 s at 200)
 _MAXIMUM = {
-    ("criterion", "N"): (transforms.MAX_COUNT, "sample budget"),
-    ("scan", "N"): (transforms.MAX_COUNT, "sample budget"),
-    ("Psi", "count"): (transforms.MAX_COUNT - 1, "sample budget"),
-    ("grunsky", "N"): (transforms.MAX_COUNT - 1, "sample budget"),
+    ("criterion", "N"): (4096, "engine cost"),
+    ("scan", "N"): (4096, "engine cost"),
+    ("Psi", "count"): (4096, "engine cost"),
+    ("grunsky", "N"): (4096, "engine cost"),
     ("bounds", "N"): (200, "majorant cost"),
 }
 
@@ -183,8 +184,11 @@ def _check_flags(args) -> None:
     if lam is None:
         if getattr(args, "kind", None) == "Phi":
             raise ConfigError("--lambda", "required for kind=Phi")
-    elif not lam > 0:
-        raise ConfigError("--lambda", f"must be > 0, got {lam!r}")
+    elif not (math.isfinite(lam) and lam > 0):
+        raise ConfigError("--lambda", f"must be finite and > 0, got {lam!r}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError("--tol", f"must be finite and >= 0, got {tol!r}")
 
 
 def _parse_mesh(spec: str | None, center: complex) -> MeshSpec:

@@ -20,7 +20,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
-from .errors import NormalizationError
+from .errors import NormalizationError, UnivalenceError
 from .sequences import aharonov_phi, phi_capital_direct
 from .series import gen_binomial
 from .transforms import phi_capital_recentered
@@ -107,21 +107,25 @@ def prawitz_sum_s(fn: CatalogFunction, lam: float, N: int) -> float:
 
     Requires the class-S normalization f(0)=0, f'(0)=1.  For univalent f the
     full sum is at most lam, with equality exactly when f is a full mapping.
+    This is the criterion sum T_N at zeta = 0, where the recentered
+    coefficients are the a_n themselves.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
-    s = series_at(fn, 0.0, N + 2)
-    c = s.coeffs
+    c = series_at(fn, 0.0, 1).coeffs
     if abs(c[0]) > 1e-12 or abs(c[1] - 1.0) > 1e-12:
         raise NormalizationError(
             f"{fn.label} is not normalized to f(0)=0, f'(0)=1 "
             f"(got f(0)={c[0]}, f'(0)={c[1]})"
         )
-    a = phi_capital_direct(s, lam, N).values
-    n = np.arange(1, N + 1, dtype=np.float64)
-    return float(np.sum((n - lam) * np.abs(a[1:]) ** 2))
+    return univalence_criterion(fn, lam, 0.0, N).T_N
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def _verdict(T_N: float, lam: float, N: int, tol: float) -> Verdict:
@@ -148,12 +152,18 @@ def univalence_criterion(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    _check_tol(tol)
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
         raise ValueError("|zeta| must be < 1")
     A = phi_capital_recentered(fn, zeta, lam, N)[1:]
     n = np.arange(1, N + 1, dtype=np.float64)
-    T = float(np.sum((n - lam) * np.abs(A) ** 2))
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        T = float(np.sum((n - lam) * np.abs(A) ** 2))
+    if not math.isfinite(T):
+        raise UnivalenceError(
+            f"the criterion sum at zeta={zeta} leaves the double range at N={N}"
+        )
     sup = float(np.max(np.abs(A)))
     return CriterionReport(
         lam=lam,
@@ -202,6 +212,7 @@ def fullmap_scan(
     """
     if not 0 < lam <= 1.0:
         raise ValueError("fullmap_scan requires 0 < lam <= 1 (monotone regime)")
+    _check_tol(tol)
     rows = []
     ok = True
     for zeta in grid:

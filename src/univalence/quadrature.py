@@ -37,7 +37,7 @@ from .series import (
     ps_pow_real,
     ps_recip,
 )
-from .transforms import MAX_COUNT, psi_via_transform
+from .transforms import psi_via_transform
 
 __all__ = [
     "MeshSpec",
@@ -63,6 +63,9 @@ class MeshSpec:
     center: complex = 0j
 
     def __post_init__(self):
+        for count in (self.radial_nodes, self.angular_nodes):
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"node counts must be integers, got {count!r}")
         if self.radial_nodes < 8 or self.angular_nodes < 8:
             raise ValueError("node counts must be >= 8")
         if not (math.isfinite(self.grading) and self.grading >= 1.0):
@@ -377,10 +380,7 @@ def psi_grunsky_identity_check(
     large n); the right side is the quadrature norm.  The residual is
     normalized by the larger side, floored at 1e-12.
     """
-    # both limits are checked before the quadrature, which costs far more
-    # than the sum; Psi_0..Psi_N needs the engine's coefficients up to N + 1
+    # checked before the quadrature, which costs far more than the sum
     if N < 32:
         raise ValueError("N must be >= 32 for a meaningful truncated sum")
-    if N > MAX_COUNT - 1:
-        raise ValueError(f"N must be <= {MAX_COUNT - 1} for the sample budget")
     return _identity_residual(fn, z, N, grunsky_norm(fn, z, mesh))

@@ -180,6 +180,18 @@ def test_numeric_error_exit_code(capsys):
         (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,inf"], 2, "--mesh"),
         (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "1025,24,2"], 2, "--mesh"),
         (["grunsky", "--fn", "koebe", "--mesh", "24,1025,2"], 2, "--mesh"),
+        (["criterion", "--fn", "koebe", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
+         "could not expand"),
+        (["criterion", "--fn", "koebe", "--lambda", "800", "--N", "2"], 1, "could not expand"),
+        (["criterion", "--fn", "koebe", "--lambda", "inf", "--zeta", "0.3", "--N", "2"], 2,
+         "--lambda"),
+        (["criterion", "--fn", "exp_scale:k=6", "--lambda", "0.5", "--zeta=-0.3i", "--N", "2000"],
+         1, "double range"),
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "8",
+          "--tol", "nan"], 2, "--tol"),
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "8",
+          "--tol", "-1"], 2, "--tol"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--tol", "inf"], 2, "--tol"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -266,4 +278,12 @@ def test_series_overflow_refused_without_numpy_warnings():
     proc = _run_module("series", "--fn", "koebe", "--z", "0.3", "--count", "4096")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "about 0.3" in proc.stderr and "order 4096" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_engine_refusal_without_numpy_warnings():
+    # the lambda-th power overflows on every sampling radius
+    proc = _run_module("criterion", "--fn", "koebe", "--lambda", "800", "--zeta", "0.3", "--N", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "could not expand" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr

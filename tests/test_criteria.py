@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from univalence.catalog import get, list_catalog, series_at
+from univalence.catalog import from_spec, get, list_catalog, series_at
 from univalence.criteria import (
     decay_bound_checks,
     default_grid,
@@ -13,7 +13,7 @@ from univalence.criteria import (
     prawitz_sum_s,
     univalence_criterion,
 )
-from univalence.errors import NormalizationError, NotLocallyUnivalentError
+from univalence.errors import NormalizationError, NotLocallyUnivalentError, UnivalenceError
 from univalence.oracles import criterion_terms
 from univalence.sequences import phi_capital_direct
 from univalence.series import gen_binomial
@@ -43,6 +43,19 @@ def test_prawitz_sum_monotone_below_budget():
     sums = [prawitz_sum_s(KOEBE, 0.25, N) for N in (4, 16, 64, 256)]
     assert all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
     assert all(s <= 0.25 + 1e-12 for s in sums)
+
+
+def test_prawitz_sum_is_the_criterion_sum_at_the_origin():
+    for fn in (KOEBE, get("rotated_koebe", theta=2.0), get("quad_poly", a=0.4)):
+        for lam, N in ((0.3, 16), (1.0, 1500)):
+            assert prawitz_sum_s(fn, lam, N) == univalence_criterion(fn, lam, 0.0, N).T_N
+
+
+@pytest.mark.parametrize("lam", [0.935078, 1.0])
+def test_prawitz_sum_rotated_koebe_long_sum_meets_budget(lam):
+    # the series route gathered 1.48e-9 of roundoff here at lam = 0.935078
+    S = prawitz_sum_s(get("rotated_koebe", theta=3.782367), lam, 4096)
+    assert abs(S - lam) <= 1e-12
 
 
 def test_prawitz_sum_requires_class_S():
@@ -117,6 +130,30 @@ def test_criterion_flags_violation_at_witness():
     rep = univalence_criterion(e4, 0.5, 0.0, 2)
     assert rep.verdict == "violated"
     assert rep.T_N == pytest.approx(13.0 / 24.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["identity", "koebe", "bounded:b=1", "cayley"])
+@pytest.mark.parametrize("zeta", [0.3, 0.2 - 0.15j])
+@pytest.mark.parametrize("N", [500, 800, 1000])
+def test_criterion_long_sums_of_univalent_entries_never_violated(spec, zeta, N):
+    # with the first radius at 0.95 these read 'violated', with T_N up to 4.9e13
+    rep = univalence_criterion(from_spec(spec), 0.5, zeta, N)
+    assert rep.verdict == "consistent", rep.T_N
+    assert rep.T_N <= 0.5 + 1e-12
+
+
+def test_criterion_refuses_an_overflowing_sum():
+    # a fallback radius 0.82 with rho^-2000 = 1e172 makes the squares overflow
+    with pytest.raises(UnivalenceError, match="double range"):
+        univalence_criterion(get("exp_scale", k=6), 0.5, -0.3j, 2000)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol"):
+        univalence_criterion(KOEBE, 0.5, 0.3, 8, tol)
+    with pytest.raises(ValueError, match="tol"):
+        fullmap_scan(KOEBE, 0.5, [0.3], 8, tol)
 
 
 def test_criterion_rejects_critical_point():

@@ -41,6 +41,13 @@ def test_meshspec_validation():
         MeshSpec(center=1.0)
 
 
+def test_meshspec_requires_integer_node_counts():
+    for radial, angular in ((16, 16.5), (100.5, 16), (16.0, 16)):
+        with pytest.raises(ValueError, match="integers"):
+            MeshSpec(radial_nodes=radial, angular_nodes=angular)
+    assert MeshSpec(radial_nodes=np.int64(16), angular_nodes=16).radial_nodes == 16
+
+
 def test_rules_are_built_once_per_node_count(monkeypatch):
     built = []
     leggauss = np.polynomial.legendre.leggauss

@@ -8,6 +8,7 @@ from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
 from univalence.series import gen_binomial, ps_eval
 from univalence.oracles import compose_with_automorphism, lemma2_coefficients
+from univalence import transforms
 from univalence.transforms import phi_capital_recentered
 
 KOEBE = get("koebe")
@@ -181,3 +182,84 @@ def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):
     n = np.arange(1, N + 1)
     assert complex(A[N]) == last
     assert float(np.sum((n - lam) * np.abs(A[1:]) ** 2)) == T
+
+
+# -------------------------------------------------------------- sampling rule
+
+
+def _binomial_run(lam, count, u):
+    """binom(lam, n) u^n for n = 0..count, by the ratio recurrence."""
+    n = np.arange(1, count + 1)
+    return np.concatenate(([1.0], np.cumprod((lam - n + 1) / n * u)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 16, 89, 90, 500, 1024, 1025, 2000, 4096, 4097])
+def test_sampling_follows_the_count(count):
+    radii, samples = transforms._sampling(count)
+    rho0 = radii[0]
+    assert rho0 ** -max(count, 1) <= 100.0 * (1.0 + 1e-12)
+    assert rho0 == (0.95 if count <= 89 else 100.0 ** (-1.0 / count))
+    assert radii[1:] == tuple(r for r in transforms._RADII if r < rho0)
+    assert samples == max(4096, 1 << (4 * count - 1).bit_length())
+    assert samples >= 4 * count and (samples == 4096 or samples < 8 * count)
+
+
+def test_unwrap_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for size in (2, 17, 4097, 16385):
+        for step in (0.05, 1.0, 3.0):
+            p = np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, step, size))))
+            p[rng.integers(size)] = np.pi
+            p[rng.integers(size)] = -np.pi
+            assert np.array_equal(transforms._unwrap(p), np.unwrap(p))
+    # a jump of exactly +pi is kept, one of -pi is kept too
+    p = np.array([0.0, np.pi, 0.0, -np.pi, 0.0, 3.0, -3.0])
+    assert np.array_equal(transforms._unwrap(p), np.unwrap(p))
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.2 - 0.15j])
+@pytest.mark.parametrize("count", [1000, 1500, 4096])
+def test_recentered_engine_identity_long_counts(zeta, count):
+    # one, two and four blocks; A_n = binom(lam, n) conj(zeta)^n
+    A = phi_capital_recentered(IDENTITY, zeta, 0.7, count)
+    want = _binomial_run(0.7, count, np.conj(zeta))
+    assert np.max(np.abs(A - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 0.935078])
+def test_recentered_engine_koebe_long_count_at_origin(lam):
+    # [w/k(w)]^lam = (1-w)^(2 lam)
+    A = phi_capital_recentered(KOEBE, 0.0, lam, 4096)
+    want = _binomial_run(2.0 * lam, 4096, -1.0)
+    assert np.max(np.abs(A - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("count", [1500, 4096])
+def test_recentered_engine_blocks_equal_one_whole_circle_transform(count):
+    # the blockwise radix step against one FFT over all M samples
+    fn, zeta, lam = get("rotated_koebe", theta=2.0), 0.2 - 0.15j, 0.5
+    A = phi_capital_recentered(fn, zeta, lam, count)
+    radii, M = transforms._sampling(count)
+    rho = radii[0]
+    w = rho * np.exp(2j * np.pi * np.arange(M) / M)
+    F = fn.f((w + zeta) / (1.0 + np.conj(zeta) * w)) - fn.f(zeta)
+    q = fn.df(zeta) * (1.0 - abs(zeta) ** 2) * w / F
+    H = np.exp(lam * (np.log(np.abs(q)) + 1j * np.unwrap(np.angle(q))))
+    want = np.fft.fft(H)[: count + 1] / M / rho ** np.arange(count + 1)
+    assert M > 4096
+    assert np.max(np.abs(A - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+@pytest.mark.parametrize("lam", [800.0, float("inf")])
+def test_recentered_engine_refuses_non_finite_coefficients(zeta, lam):
+    # the power overflows on every radius; no numpy warning escapes
+    with pytest.raises(UnivalenceError, match="non-finite coefficients|normalization"):
+        phi_capital_recentered(KOEBE, zeta, lam, 2)
+
+
+def test_recentered_engine_refuses_overflowing_fallback_radii():
+    # the circle collides inside the first radius; rho^-8000 overflows for every
+    # fallback radius, which leaves Phi_0 finite and the high coefficients not
+    with pytest.raises(UnivalenceError, match="non-finite coefficients at rho=0.55"):
+        phi_capital_recentered(get("exp_scale", k=6), -0.3j, 0.5, 8000)

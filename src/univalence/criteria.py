@@ -158,7 +158,7 @@ def univalence_criterion(
         raise ValueError("|zeta| must be < 1")
     A = phi_capital_recentered(fn, zeta, lam, N)[1:]
     n = np.arange(1, N + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         T = float(np.sum((n - lam) * np.abs(A) ** 2))
     if not math.isfinite(T):
         raise UnivalenceError(

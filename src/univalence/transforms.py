@@ -89,31 +89,29 @@ def phi_capital_recentered(
     )
 
 
-def _unwrap(p: np.ndarray) -> np.ndarray:
-    """``np.unwrap(p)``, bit for bit, computing the correction only at the jumps.
+def _unwrap(p: np.ndarray) -> None:
+    """Unwrap the phases ``p`` in place, bit for bit as ``np.unwrap(p)``.
 
     A smooth loop of samples jumps by 2 pi only where the principal argument
-    crosses its cut, a handful of places; the corrections elsewhere are
-    exact zeros, so their running sum is the same without them.
+    crosses its cut, a handful of places; ``np.unwrap``'s corrections
+    elsewhere are exact zeros, so they are computed only at the jumps.
     """
     dd = np.diff(p)
     jumps = np.flatnonzero(np.abs(dd) >= np.pi)
-    up = p.copy()
     if jumps.size:
         d = dd[jumps]
         ddmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
         np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (d > 0))
         correction = np.zeros_like(dd)
         correction[jumps] = ddmod - d
-        up[1:] = p[1:] + correction.cumsum()
-    return up
+        p[1:] += correction.cumsum()
 
 
 def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     """Coefficients 0..count from ``samples`` points on |w| = rho, or None and the reason."""
     blocks = samples // _BLOCK
     zb = np.conj(zeta)
-    ang = np.empty(samples)
+    loop = np.empty(samples + 1)  # arg q around the circle, closed by its first point
     log_abs = np.empty(samples)
     dq_min, dq_max = np.inf, 1.0
     for b in range(blocks):
@@ -127,31 +125,29 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
         dq_min, dq_max = min(dq_min, float(np.min(adq))), max(dq_max, float(np.max(adq)))
         with np.errstate(divide="ignore", invalid="ignore"):  # dq = 0 is refused below
             q = deriv0 * w / dq
-        ang[b::blocks] = np.angle(q)
+        loop[b:samples:blocks] = np.angle(q)
         log_abs[b::blocks] = np.log(np.abs(q))
     if dq_min < 1e-13 * dq_max:
         return None, f"collision point on the sampling circle at rho={rho}"
 
-    loop = _unwrap(np.append(ang, ang[0]))
+    loop[-1] = loop[0]
+    _unwrap(loop)
     winding = (loop[-1] - loop[0]) / (2.0 * np.pi)
     if abs(winding) > 0.25:
         return None, f"winding {winding:.2f} at rho={rho} (zero of q enclosed)"
     # no winding: log q is analytic on |w| <= rho with log q(0) = 0, so by the
     # mean-value property the continuous argument of q averages to 0 on the circle
-    phase = loop[:-1] - 2.0 * np.pi * np.round(np.mean(loop[:-1]) / (2.0 * np.pi))
+    phase = loop[:-1]
+    phase -= 2.0 * np.pi * np.round(np.mean(phase) / (2.0 * np.pi))
 
     n = np.arange(count + 1)
     # the power, the transform and the division by rho^n may leave the double
     # range (a large lam, or rho^-n past a fallback radius); that is refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeff = None
+        coeff = np.zeros(count + 1, dtype=np.complex128)
         for b in range(blocks):
             H = np.exp(lam * (log_abs[b::blocks] + 1j * phase[b::blocks]))
-            part = np.fft.fft(H)[n % _BLOCK]
-            if b:
-                coeff += np.exp(-2j * np.pi * b * n / samples) * part
-            else:
-                coeff = part
+            coeff += np.exp(-2j * np.pi * b * n / samples) * np.fft.fft(H)[n % _BLOCK]
         out = coeff / samples / rho**n
     if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
         return None, f"non-finite coefficients at rho={rho}"

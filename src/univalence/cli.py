@@ -32,14 +32,17 @@ _MINIMUM = {
     ("grunsky", "N"): 32,
 }
 
+#: one cap for every count the recentering engine expands: past 1024 its samples,
+#: and so its time, grow with the count
+_ENGINE_MAXIMUM = (4096, "engine cost")
+
 #: largest accepted value of each integer flag, by subcommand or sequence kind, with
-#: the reason: the recentering engine's cost grows with the count (Psi_0..Psi_count
-#: needs its coefficients up to count + 1), and ``bounds`` sums O(N^3) majorants (1 s at 200)
+#: the reason; ``bounds`` sums O(N^3) majorants (1 s at 200)
 _MAXIMUM = {
-    ("criterion", "N"): (4096, "engine cost"),
-    ("scan", "N"): (4096, "engine cost"),
-    ("Psi", "count"): (4096, "engine cost"),
-    ("grunsky", "N"): (4096, "engine cost"),
+    ("criterion", "N"): _ENGINE_MAXIMUM,
+    ("scan", "N"): _ENGINE_MAXIMUM,
+    ("Psi", "count"): _ENGINE_MAXIMUM,
+    ("grunsky", "N"): _ENGINE_MAXIMUM,
     ("bounds", "N"): (200, "majorant cost"),
 }
 

@@ -56,12 +56,12 @@ def phi_capital_recentered(
     a zero of q, which happens for non-univalent f, or when the power or its
     coefficients leave the double range.
 
-    The M samples are taken in blocks of 4096: block b is the 4096-point
-    circle turned by 2 pi b / M, so that the samples j = r L + b (L = M / 4096
-    blocks) of the whole circle are one block's r-th point.  The leading
-    coefficients combine the blocks' own transforms with the twiddles
-    exp(-2 pi i b k / M), one radix-L step of the full transform, and no
-    array spans the whole circle except the phase and modulus of q.
+    The M samples are taken in L = M / 4096 blocks: block b is the 4096-point
+    circle turned by 2 pi b / M, so sample j = r L + b of the whole circle is
+    block b's r-th point.  The leading coefficients combine the blocks' own
+    transforms with the twiddles exp(-2 pi i b k / M), one radix-L step of
+    the full transform, and no array spans the whole circle except the phase
+    and modulus of q.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from univalence import quadrature
+from univalence import oracles, quadrature
 from univalence.catalog import get, list_catalog
 from univalence.errors import SingularSampleError
 from univalence.quadrature import (
@@ -252,7 +252,11 @@ def test_psi_identity_requires_truncation_depth(monkeypatch):
             6.477140087012644e-29,
             2.1085946420422677e-30,
         ),
-        (lambda: grunsky_norm(KOEBE, 0.3), 1.0989010989011012, 1.9195756095768916e-15),
+        (
+            lambda: oracles.quadrature_grunsky_norm(KOEBE, 0.3),
+            1.0989010989011012,
+            1.9195756095768916e-15,
+        ),
     ],
     ids=["area-koebe", "area-rotated-koebe", "area-cayley", "norm-koebe"],
 )
@@ -264,7 +268,8 @@ def test_default_mesh_results_are_pinned(compute, value, error):
 
 
 def test_identity_check_residual_is_pinned():
-    assert psi_grunsky_identity_check(KOEBE, 0.2 + 0.1j, 64) == 3.996802888650549e-15
+    # the exterior sum to n = 64 against the oracle quadrature norm
+    assert oracles.quadrature_identity_residual(KOEBE, 0.2 + 0.1j, 64) == 3.996802888650549e-15
 
 
 def test_error_estimate_brackets_known_value():

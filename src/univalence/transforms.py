@@ -32,6 +32,9 @@ _BLOCK = 4096
 _RADII = (0.95, 0.9, 0.82, 0.7, 0.55)
 #: largest roundoff amplification rho^-N the first radius may bring
 _GROWTH = 100.0
+#: largest lam * max log|q| on the circle: the transform's roundoff, eps max|q|^lam,
+#: stays below the 1e-8 of the Phi_0 check
+_POWER_LOG = float(np.log(1e-8 / np.finfo(float).eps))
 
 
 def _sampling(count: int) -> tuple[tuple[float, ...], int]:
@@ -129,6 +132,9 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
         log_abs[b::blocks] = np.log(np.abs(q))
     if dq_min < 1e-13 * dq_max:
         return None, f"collision point on the sampling circle at rho={rho}"
+    # |q| = |deriv0| rho / |dq| on the circle, largest where |dq| is least
+    if lam * float(np.log(abs(deriv0) * rho / dq_min)) > _POWER_LOG:
+        return None, f"the lam-th power of q exceeds what a double resolves at rho={rho}"
 
     loop[-1] = loop[0]
     _unwrap(loop)

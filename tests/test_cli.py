@@ -180,9 +180,13 @@ def test_numeric_error_exit_code(capsys):
         (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,inf"], 2, "--mesh"),
         (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "1025,24,2"], 2, "--mesh"),
         (["grunsky", "--fn", "koebe", "--mesh", "24,1025,2"], 2, "--mesh"),
+        # the lambda-th power of q is refused for its size, not for a check it then fails
         (["criterion", "--fn", "koebe", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
-         "could not expand"),
-        (["criterion", "--fn", "koebe", "--lambda", "800", "--N", "2"], 1, "could not expand"),
+         "exceeds what a double resolves"),
+        (["criterion", "--fn", "identity", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
+         "exceeds what a double resolves"),
+        (["criterion", "--fn", "koebe", "--lambda", "800", "--N", "2"], 1,
+         "exceeds what a double resolves"),
         (["criterion", "--fn", "koebe", "--lambda", "inf", "--zeta", "0.3", "--N", "2"], 2,
          "--lambda"),
         (["criterion", "--fn", "exp_scale:k=6", "--lambda", "0.5", "--zeta=-0.3i", "--N", "2000"],
@@ -281,9 +285,11 @@ def test_series_overflow_refused_without_numpy_warnings():
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_engine_refusal_without_numpy_warnings():
-    # the lambda-th power overflows on every sampling radius
-    proc = _run_module("criterion", "--fn", "koebe", "--lambda", "800", "--zeta", "0.3", "--N", "2")
+@pytest.mark.parametrize("fn", ["koebe", "identity"])
+def test_engine_refusal_without_numpy_warnings(fn):
+    # the lambda-th power of q exceeds what a double resolves on every sampling radius
+    proc = _run_module("criterion", "--fn", fn, "--lambda", "800", "--zeta", "0.3", "--N", "2")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "could not expand" in proc.stderr
+    assert "the lam-th power of q exceeds what a double resolves at rho=0.55" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr

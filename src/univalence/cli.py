@@ -32,8 +32,9 @@ _MINIMUM = {
     ("grunsky", "N"): 32,
 }
 
-#: one cap for every count the recentering engine expands: past 1024 its samples,
-#: and so its time, grow with the count
+#: one cap for every count of coefficients the recentering engine expands: past
+#: 1024 its samples, and so its time, grow with the count.  Psi_0..Psi_count takes
+#: count + 1 of them, so its count and the Grunsky sum's N stop at 4095.
 _ENGINE_MAXIMUM = (4096, "engine cost")
 
 #: largest accepted value of each integer flag, by subcommand or sequence kind, with
@@ -41,10 +42,14 @@ _ENGINE_MAXIMUM = (4096, "engine cost")
 _MAXIMUM = {
     ("criterion", "N"): _ENGINE_MAXIMUM,
     ("scan", "N"): _ENGINE_MAXIMUM,
-    ("Psi", "count"): _ENGINE_MAXIMUM,
-    ("grunsky", "N"): _ENGINE_MAXIMUM,
+    ("Psi", "count"): (4095, "engine cost"),
+    ("grunsky", "N"): (4095, "engine cost"),
     ("bounds", "N"): (200, "majorant cost"),
 }
+
+#: the subcommands whose --lambda is bounded by 1, and how: the area theorem and
+#: the scan's monotone regime take lambda <= 1, the growth bounds lambda < 1
+_LAMBDA_MAXIMUM = {"area": "<=", "scan": "<=", "bounds": "<"}
 
 #: largest accepted radial and angular node count R, A of ``--mesh``, with the
 #: reason: the fine pass integrates on 2R x 2A nodes and builds a 2R-point
@@ -189,6 +194,8 @@ def _check_flags(args) -> None:
             raise ConfigError("--lambda", "required for kind=Phi")
     elif not (math.isfinite(lam) and lam > 0):
         raise ConfigError("--lambda", f"must be finite and > 0, got {lam!r}")
+    elif (rule := _LAMBDA_MAXIMUM.get(args.command)) and (lam > 1 or lam == 1 and rule == "<"):
+        raise ConfigError("--lambda", f"must be {rule} 1 for {args.command}, got {lam!r}")
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ConfigError("--tol", f"must be finite and >= 0, got {tol!r}")

@@ -196,6 +196,13 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "8",
           "--tol", "-1"], 2, "--tol"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--tol", "inf"], 2, "--tol"),
+        # Psi_0..Psi_count takes count + 1 engine coefficients
+        (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4096"], 2, "--count"),
+        (["grunsky", "--fn", "koebe", "--N", "4096"], 2, "--N"),
+        # the area theorem and the scan hold for lambda <= 1, the growth bounds for lambda < 1
+        (["area", "--fn", "koebe", "--lambda", "1.5"], 2, "--lambda"),
+        (["scan", "--fn", "koebe", "--lambda", "1.5"], 2, "--lambda"),
+        (["bounds", "--fn", "koebe", "--lambda", "1"], 2, "--lambda"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

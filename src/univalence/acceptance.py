@@ -192,20 +192,30 @@ def check_grunsky_equality() -> AcceptanceResult:
 
 
 def check_psi_grunsky_identity() -> AcceptanceResult:
-    """Weighted exterior-coefficient sum against the kernel norm."""
+    """Weighted exterior-coefficient sums against the quadrature kernel norm."""
     k = catalog.get("koebe")
-    r0 = quadrature.psi_grunsky_identity_check(k, 0.0, 64)
-    r3 = quadrature.psi_grunsky_identity_check(k, 0.3, 64)
+    r0 = oracles.quadrature_identity_residual(k, 0.0, 64)
+    r3 = oracles.quadrature_identity_residual(k, 0.3, 64)
+    norm = quadrature.grunsky_norm(k, 0.3)
+    quad = oracles.quadrature_grunsky_norm(k, 0.3)
+    gap = abs(norm.value - quad.value)
     cay = catalog.get("cayley")
     psi = transforms.psi_via_transform(cay, 0.3, 64)
     n = np.arange(1, 65, dtype=np.float64)
     lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
-    rhs = (1.0 - 0.09) ** 2 * quadrature.grunsky_norm(cay, 0.3).value ** 2
-    ok = r0 <= 2e-2 and r3 <= 2e-2 and lhs <= 1e-10 and rhs <= 1e-10
+    rhs = (1.0 - 0.09) ** 2 * oracles.quadrature_grunsky_norm(cay, 0.3).value ** 2
+    ok = (
+        r0 <= 2e-2
+        and r3 <= 2e-2
+        and gap <= norm.error_estimate + quad.error_estimate + 1e-12
+        and lhs <= 1e-10
+        and rhs <= 1e-10
+    )
     return AcceptanceResult(
         "psi-grunsky-identity",
         ok,
-        f"residual(z=0)={r0:.2e} residual(z=0.3)={r3:.2e} cayley sides=({lhs:.1e},{rhs:.1e})",
+        f"residual(z=0)={r0:.2e} residual(z=0.3)={r3:.2e} sum-quadrature norm gap(z=0.3)="
+        f"{gap:.1e} cayley sides=({lhs:.1e},{rhs:.1e})",
     )
 
 

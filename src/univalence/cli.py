@@ -292,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--z", default="0")
     p.add_argument("--N", type=int, default=64)
-    p.add_argument("--mesh", default=None, help="R,A,grading")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     return parser
@@ -378,15 +377,13 @@ def _cmd_area(args, fn):
         "value": res.value,
         "error_estimate": res.error_estimate,
         "budget": 1.0 / args.lam,
-        "mesh": _fields(res.mesh),
+        "mesh": _fields(mesh),
     }
     return body, ("value", "error_estimate", "budget")
 
 
 def _cmd_grunsky(args, fn):
-    mesh = _parse_mesh(args.mesh, args.z)
-    norm = quadrature.grunsky_norm(fn, args.z, mesh)
-    residual = quadrature._identity_residual(fn, args.z, args.N, norm)
+    norm, residual = quadrature._grunsky(fn, args.z, args.N)
     body = {
         "z": _cpx(args.z),
         "N": args.N,

@@ -7,18 +7,33 @@ series composition and a finite-difference recurrence.  They exist so the
 acceptance suite and the tests can check the printed identities against the
 production routes.  Most cancel catastrophically beyond a dozen or so terms
 at moderate |z|, so nothing in the product path imports this module.
+
+The Grunsky norm is here as the disk integral its definition prints: the
+square root of (1/pi) times the integral of |U(f;z,w)|^2 over the disk, on the
+polar quadrature of :mod:`univalence.quadrature` about z, with the refinement
+estimate through the square root.  The product route is the exterior
+coefficient sum, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
 from .errors import EnumerationLimitError
+from .quadrature import (
+    MeshSpec,
+    QuadratureResult,
+    _default_delta,
+    grunsky_kernel_point,
+    integrate_disk,
+)
 from .sequences import SequenceSet, aharonov_phi, phi_capital_direct
 from .series import PowerSeries, _common_order, gen_binomial, ps_mul
+from .transforms import psi_via_transform
 
 __all__ = [
     "ps_compose",
@@ -28,6 +43,8 @@ __all__ = [
     "phi_capital_combinatorial",
     "check_phi_recurrence",
     "psi_sequence",
+    "quadrature_grunsky_norm",
+    "quadrature_identity_residual",
 ]
 
 #: hard cap for the tuple-enumeration route
@@ -277,3 +294,49 @@ def psi_sequence(f_series: PowerSeries, z: complex, count: int) -> SequenceSet:
             )
         vals[n] = acc
     return SequenceSet(kind="Psi", center=z, values=vals)
+
+
+# --------------------------------------------------------------------------
+# the Grunsky norm by disk quadrature
+
+
+def quadrature_grunsky_norm(
+    fn: CatalogFunction, z: complex, mesh: MeshSpec | None = None
+) -> QuadratureResult:
+    """U_f(z) as the square root of (1/pi) integral |U(f;z,w)|^2 dA(w).
+
+    ``mesh`` defaults to the 256^2 + 512^2 polar mesh centered at z; the
+    refinement estimate is propagated through the square root.
+    """
+    if not fn.flags.univalent_on_disk:
+        raise ValueError(f"{fn.label} is not flagged univalent")
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise ValueError("|z| must be < 1")
+    if mesh is None:
+        mesh = MeshSpec(center=z)
+    delta = _default_delta(z)
+
+    def integrand(w: np.ndarray) -> np.ndarray:
+        return np.abs(grunsky_kernel_point(fn, z, w, delta)) ** 2
+
+    raw = integrate_disk(integrand, mesh)
+    value = math.sqrt(max(raw.value, 0.0))
+    if value > 1e-8:
+        err = raw.error_estimate / (2.0 * value)
+    else:
+        err = math.sqrt(raw.error_estimate)
+    return QuadratureResult(value=value, error_estimate=err)
+
+
+def quadrature_identity_residual(fn: CatalogFunction, z: complex, N: int) -> float:
+    """Relative residual of sum_{n<=N} n|Psi_n(f;z)|^2 = (1-|z|^2)^2 U_f(z)^2
+    with the default-mesh quadrature norm on the right, normalized by the
+    larger side floored at 1e-12."""
+    z = complex(z)
+    norm = quadrature_grunsky_norm(fn, z)
+    psi = psi_via_transform(fn, z, N)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
+    rhs = (1.0 - abs(z) ** 2) ** 2 * norm.value**2
+    return abs(lhs - rhs) / max(1e-12, lhs, rhs)

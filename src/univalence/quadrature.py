@@ -1,4 +1,4 @@
-"""Disk integrals: the weighted area integral, the Grunsky kernel and its norm.
+"""The weighted area integral by disk quadrature; the Grunsky kernel and its norm.
 
 Integration uses polar coordinates about a configurable origin (usually the
 singular point z), Gauss-Legendre nodes in a graded radial variable along
@@ -15,6 +15,11 @@ construction); the closed-form point values are evaluated only outside delta,
 with the branch of the fractional power audited along every ray before
 integration.  The series and the point values f(z), f'(z) are built once per
 integral and shared by its coarse and fine mesh.
+
+The Grunsky norm is a sum: (1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, to
+n = 4095 in one call of the circle engine, with the tail extrapolated from the
+partial sums and capped by the univalent budget.  Its disk quadrature is a
+test oracle in :mod:`univalence.oracles`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .series import (
     ps_pow_real,
     ps_recip,
 )
-from .transforms import psi_via_transform
+from .transforms import _GROWTH, psi_via_transform
 
 __all__ = [
     "MeshSpec",
@@ -51,6 +56,12 @@ __all__ = [
 
 #: series order used for all near-diagonal kernel expansions
 _SERIES_ORDER = 32
+
+#: terms of the exterior sum: Psi_1..Psi_4095, one engine call of 16384 samples
+_TERMS = 4095
+
+#: least error estimate relative to a sum: sums land within 3 eps of closed forms
+_ROUNDOFF = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -77,15 +88,10 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with a refinement-based error estimate.
-
-    ``value`` comes from the radially refined mesh; ``error_estimate`` is the
-    absolute difference against the requested mesh.
-    """
+    """A value with an estimate of its absolute error."""
 
     value: float
     error_estimate: float
-    mesh: MeshSpec
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -161,7 +167,7 @@ def integrate_disk(
     """
     coarse = _apply(integrand, mesh, mesh.radial_nodes, mesh.angular_nodes)
     fine = _apply(integrand, mesh, 2 * mesh.radial_nodes, 2 * mesh.angular_nodes)
-    return QuadratureResult(value=fine, error_estimate=abs(fine - coarse), mesh=mesh)
+    return QuadratureResult(value=fine, error_estimate=abs(fine - coarse))
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +279,7 @@ def prawitz_integral(
 
 
 # --------------------------------------------------------------------------
-# Grunsky kernel
+# Grunsky kernel and norm
 
 
 def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
@@ -281,28 +287,6 @@ def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
     phi = aharonov_phi(series_at(fn, z, _SERIES_ORDER + 3), _SERIES_ORDER + 1).values
     n = np.arange(1, phi.size)
     return PowerSeries(z, -(n * phi[1:]))
-
-
-def _grunsky_kernel(
-    fn: CatalogFunction, z: complex, delta: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """U(f;z,.) on complex arrays, with its series and f(z), f'(z) built once."""
-    U_series = _grunsky_series(fn, z)
-    fz = complex(fn.f(z))
-    fpz = complex(fn.df(z))
-
-    def kernel(warr: np.ndarray) -> np.ndarray:
-        near = np.abs(warr - z) < delta
-        far = ~near
-        out = np.empty_like(warr)
-        if np.any(far):
-            wf = warr[far]
-            out[far] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
-        if np.any(near):
-            out[near] = ps_eval(U_series, warr[near])
-        return out
-
-    return kernel
 
 
 def grunsky_kernel_point(
@@ -320,67 +304,70 @@ def grunsky_kernel_point(
     z = complex(z)
     if delta is None:
         delta = _default_delta(z)
-    out = _grunsky_kernel(fn, z, delta)(np.asarray(w, dtype=np.complex128))
+    warr = np.asarray(w, dtype=np.complex128)
+    near = np.abs(warr - z) < delta
+    far = ~near
+    out = np.empty_like(warr)
+    if np.any(far):
+        wf, fz, fpz = warr[far], complex(fn.f(z)), complex(fn.df(z))
+        out[far] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
+    if np.any(near):
+        out[near] = ps_eval(_grunsky_series(fn, z), warr[near])
     if np.ndim(w) == 0:
         return complex(out)
     return out
 
 
-def grunsky_norm(
-    fn: CatalogFunction,
-    z: complex,
-    mesh: MeshSpec | None = None,
-) -> QuadratureResult:
-    """U_f(z): the L2 norm over the disk of the Grunsky kernel at z.
+def _error(partial: np.ndarray, budget: float) -> float:
+    """The error of a sum of terms >= 0 from its ``partial`` sums S_1..S_K: the
+    tail, at most ``budget`` less the sum and at least the sum's roundoff.
 
-    ``value`` is the square root of (1/pi) integral |U(f;z,w)|^2 dA(w); the
-    error estimate is propagated through the square root.
+    D1 = S_{K/2} - S_{K/4} and D2 = S_K - S_{K/2} fall by r = D2/D1 per doubling
+    of K for an algebraic tail, which is then D2 r/(1 - r).  There is no tail if
+    D2 is at the roundoff of the sum or of K engine terms (rho^-N <= _GROWTH);
+    if the differences do not shrink, the sum is far from done and the tail is
+    the whole budget.
     """
+    K = partial.size
+    quarter, half, total = partial[K // 4 - 1], partial[K // 2 - 1], float(partial[-1])
+    d1, d2 = half - quarter, total - half
+    if d2 <= max(1e-13 * total, (_GROWTH * K * np.finfo(float).eps) ** 2):
+        tail = 0.0
+    elif d1 > d2:
+        r = d2 / d1
+        tail = float(d2 * r / (1.0 - r))
+    else:
+        tail = budget - total
+    return max(min(tail, budget - total), _ROUNDOFF * total)
+
+
+def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult, float]:
+    """U_f(z) and the share of its exterior sum beyond n = N, from one engine call."""
     if not fn.flags.univalent_on_disk:
         raise ValueError(f"{fn.label} is not flagged univalent")
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("|z| must be < 1")
-    if mesh is None:
-        mesh = MeshSpec(center=z)
-
-    kernel = _grunsky_kernel(fn, z, _default_delta(z))
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        return np.abs(kernel(w)) ** 2
-
-    raw = integrate_disk(integrand, mesh)
-    value = math.sqrt(max(raw.value, 0.0))
-    if value > 1e-8:
-        err = raw.error_estimate / (2.0 * value)
-    else:
-        err = math.sqrt(raw.error_estimate)
-    return QuadratureResult(value=value, error_estimate=err, mesh=mesh)
+    psi = psi_via_transform(fn, z, _TERMS)
+    partial = np.cumsum(np.arange(1, _TERMS + 1) * np.abs(psi[1:]) ** 2)
+    total, lhs = float(partial[-1]), float(partial[N - 1])
+    omz = 1.0 - abs(z) ** 2
+    value = math.sqrt(total) / omz
+    # the univalent budget is sum n|Psi_n|^2 <= 1
+    err = math.sqrt(total + _error(partial, 1.0)) / omz - value
+    residual = (total - lhs) / max(1e-12, total)
+    return QuadratureResult(value=value, error_estimate=err), residual
 
 
-def _identity_residual(fn: CatalogFunction, z: complex, N: int, norm: QuadratureResult) -> float:
-    """Relative residual of the exterior-sum identity against a computed Grunsky norm at z."""
-    z = complex(z)
-    psi = psi_via_transform(fn, z, N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
-    rhs = (1.0 - abs(z) ** 2) ** 2 * norm.value**2
-    return abs(lhs - rhs) / max(1e-12, lhs, rhs)
+def grunsky_norm(fn: CatalogFunction, z: complex) -> QuadratureResult:
+    """U_f(z), the L2 norm over the disk of the Grunsky kernel at z, as
+    sqrt(sum_{n<=4095} n|Psi_n(f;z)|^2)/(1-|z|^2), a lower bound; the tail
+    estimate of the sum goes through the square root."""
+    return _grunsky(fn, z, _TERMS)[0]
 
 
-def psi_grunsky_identity_check(
-    fn: CatalogFunction,
-    z: complex,
-    N: int,
-    mesh: MeshSpec | None = None,
-) -> float:
-    """Relative residual of sum_{n<=N} n |Psi_n(f;z)|^2 = (1-|z|^2)^2 U_f(z)^2.
-
-    The left side uses the pullback route for the Psi values (stable for
-    large n); the right side is the quadrature norm.  The residual is
-    normalized by the larger side, floored at 1e-12.
-    """
-    # checked before the quadrature, which costs far more than the sum
-    if N < 32:
-        raise ValueError("N must be >= 32 for a meaningful truncated sum")
-    return _identity_residual(fn, z, N, grunsky_norm(fn, z, mesh))
+def psi_grunsky_identity_check(fn: CatalogFunction, z: complex, N: int) -> float:
+    """Relative residual of sum_{n<=N} n |Psi_n(f;z)|^2 = (1-|z|^2)^2 U_f(z)^2: both
+    sides come from one array of Psi_1..Psi_4095, so this is the share of the sum
+    beyond n = N, normalized by the sum floored at 1e-12."""
+    if not 32 <= N <= _TERMS:
+        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_TERMS}")
+    return _grunsky(fn, z, N)[1]

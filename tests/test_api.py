@@ -17,6 +17,8 @@ MOVED = (
     "psi_sequence",
     "phi_capital_combinatorial",
     "check_phi_recurrence",
+    "quadrature_grunsky_norm",
+    "quadrature_identity_residual",
 )
 
 #: duplicate routes and helpers that no longer exist
@@ -27,6 +29,8 @@ DELETED = (
     "mobius_sigma_series",
     "_horner_scalar",
     "_radial_branch_anchor",
+    "_identity_residual",
+    "_grunsky_kernel",
 )
 
 PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")

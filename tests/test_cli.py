@@ -14,7 +14,10 @@ from univalence.cli import run
 
 
 def _capture(capsys, argv):
-    code = run(argv)
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -110,15 +113,13 @@ def test_area_small_mesh(capsys):
     assert payload["mesh"]["radial_nodes"] == 64
 
 
-def test_grunsky_small_mesh(capsys):
-    code, out, _ = _capture(
-        capsys,
-        ["grunsky", "--fn", "cayley", "--z", "0.3", "--N", "32", "--mesh", "64,64,2"],
-    )
+def test_grunsky_estimate_reaches_koebe_norm_near_the_circle(capsys):
+    # the sum to n = 4095 holds 7% of sum n|Psi_n|^2 = 1 here; the rest is tail
+    code, out, _ = _capture(capsys, ["grunsky", "--fn", "koebe", "--z", "0.99i", "--N", "32"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["grunsky_norm"] <= 1e-8
-    assert payload["identity_residual"] <= 1.0
+    assert payload["grunsky_norm"] <= 1.0 / (1.0 - 0.99**2)
+    assert payload["grunsky_norm"] + payload["error_estimate"] >= 50.25
 
 
 def test_config_error_names_field(capsys):

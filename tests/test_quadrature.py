@@ -1,10 +1,16 @@
-"""Disk quadrature, the weighted area integral, and the kernel norm."""
+"""Disk quadrature, the weighted area integral, the Grunsky kernel, and its norm as
+an exterior coefficient sum."""
+
+import inspect
+import json
+import math
 
 import numpy as np
 import pytest
 
 from univalence import oracles, quadrature
-from univalence.catalog import get, list_catalog
+from univalence.catalog import from_spec, get, list_catalog
+from univalence.cli import run
 from univalence.errors import SingularSampleError
 from univalence.quadrature import (
     MeshSpec,
@@ -24,6 +30,12 @@ IDENTITY = get("identity")
 CAYLEY = get("cayley")
 
 FAST = MeshSpec(radial_nodes=128, angular_nodes=128)
+
+#: (1 - |z|^2) U_f(z) is exactly 1 for full mappings and 0 for Moebius maps
+FULL_MAPPINGS = ("koebe", "rotated_koebe:theta=2", "rotated_koebe:theta=-0.7", "rotated_koebe:theta=1.1")
+MOEBIUS = ("identity", "bounded:b=1", "bounded:b=0.5-0.3i", "sigma:zeta=0.3", "sigma:zeta=-0.2+0.5i", "cayley")
+OTHERS = ("quad_poly:a=0.3", "quad_poly:a=0.5", "exp_scale:k=1", "exp_scale:k=0.5")
+TAIL_POINTS = (0.0, 0.3, 0.2 - 0.45j, 0.6, -0.6j, 0.9, 0.95j, 0.99j, 0.995)
 
 
 # ------------------------------------------------------------ mesh / rule
@@ -59,7 +71,7 @@ def test_rules_are_built_once_per_node_count(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     quadrature._gauss_legendre.cache_clear()
     prawitz_integral(KOEBE, 0.5, 0.0)
-    grunsky_norm(KOEBE, 0.3)
+    oracles.quadrature_grunsky_norm(KOEBE, 0.3)
     # the coarse and the fine radial rule, each once for both integrals
     assert built == [256, 512]
 
@@ -74,9 +86,9 @@ def test_cached_rule_is_read_only():
 
 def test_quadrature_result_validation():
     with pytest.raises(ValueError):
-        QuadratureResult(value=float("inf"), error_estimate=0.0, mesh=FAST)
+        QuadratureResult(value=float("inf"), error_estimate=0.0)
     with pytest.raises(ValueError):
-        QuadratureResult(value=1.0, error_estimate=-1.0, mesh=FAST)
+        QuadratureResult(value=1.0, error_estimate=-1.0)
 
 
 def test_disk_area_centered():
@@ -193,19 +205,25 @@ def test_kernel_dual_route_band_agreement():
 
 
 def test_norm_vanishes_for_moebius():
-    assert grunsky_norm(IDENTITY, 0.0, FAST).value <= 1e-8
-    assert grunsky_norm(CAYLEY, 0.3, MeshSpec(128, 128, 2.0, 0.3)).value <= 1e-8
+    # pure roundoff up to the circle: the tail rule must not read it as a
+    # slowly decaying sum
+    for spec in MOEBIUS:
+        for z in TAIL_POINTS:
+            res = grunsky_norm(from_spec(spec), z)
+            bound = 1e-10 if abs(z) <= 0.6 else 1e-8
+            assert max(res.value, res.error_estimate) <= bound, (spec, z, res)
 
 
 def test_norm_koebe_origin():
-    res = grunsky_norm(KOEBE, 0.0, FAST)
+    res = grunsky_norm(KOEBE, 0.0)
     assert abs(res.value - 1.0) <= 1e-2
 
 
 def test_norm_koebe_matches_exterior_sum_route():
+    # the quadrature norm of the oracle against the exterior coefficients
     z = 0.3
     mesh = MeshSpec(128, 128, 2.0, z)
-    res = grunsky_norm(KOEBE, z, mesh)
+    res = oracles.quadrature_grunsky_norm(KOEBE, z, mesh)
     psi = psi_via_transform(KOEBE, z, 64)
     n = np.arange(1, 65)
     lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
@@ -215,27 +233,101 @@ def test_norm_koebe_matches_exterior_sum_route():
 
 def test_norm_requires_univalent():
     with pytest.raises(ValueError):
-        grunsky_norm(get("exp_scale", k=4), 0.0, FAST)
+        grunsky_norm(get("exp_scale", k=4), 0.0)
 
 
 # ------------------------------------------------------------ identity check
 
 
 def test_psi_identity_residual_koebe():
-    assert psi_grunsky_identity_check(KOEBE, 0.0, 64, FAST) <= 2e-2
-    mesh = MeshSpec(128, 128, 2.0, 0.3)
-    assert psi_grunsky_identity_check(KOEBE, 0.3, 64, mesh) <= 2e-2
+    assert psi_grunsky_identity_check(KOEBE, 0.0, 64) <= 2e-2
+    assert psi_grunsky_identity_check(KOEBE, 0.3, 64) <= 2e-2
 
 
 def test_psi_identity_requires_truncation_depth(monkeypatch):
-    # refused before the quadrature runs, not after a full norm
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("the integrand must not be evaluated")
+    # refused before the engine runs: the sum has 4095 terms
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine must not be called")
 
-    monkeypatch.setattr(quadrature, "integrate_disk", no_quadrature)
-    for N in (16, 31):
+    monkeypatch.setattr(quadrature, "psi_via_transform", no_engine)
+    for N in (16, 31, 4096):
         with pytest.raises(ValueError, match="N must be >= 32"):
-            psi_grunsky_identity_check(KOEBE, 0.0, N, FAST)
+            psi_grunsky_identity_check(KOEBE, 0.0, N)
+
+
+def test_norm_and_identity_share_one_exterior_sum():
+    # the sum still moves past n = 32 here: the residual is the share beyond N
+    fn, z = get("quad_poly", a=0.5), 0.6
+    res = grunsky_norm(fn, z)
+    psi = psi_via_transform(fn, z, 4095)
+    partial = np.cumsum(np.arange(1, 4096) * np.abs(psi[1:]) ** 2)
+    assert res.value == math.sqrt(partial[-1]) / (1 - abs(z) ** 2)
+    share = (partial[-1] - partial[31]) / partial[-1]
+    assert share > 1e-6
+    assert psi_grunsky_identity_check(fn, z, 32) == share
+    assert psi_grunsky_identity_check(fn, z, 4095) == 0.0
+
+
+def test_grunsky_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
+    calls = []
+    engine = quadrature.psi_via_transform
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the disk quadrature is off the Grunsky route")
+
+    monkeypatch.setattr(quadrature, "psi_via_transform", counting)
+    monkeypatch.setattr(quadrature, "integrate_disk", no_quadrature)
+    grunsky_norm(KOEBE, 0.3)
+    psi_grunsky_identity_check(KOEBE, 0.3, 64)
+    assert run(["grunsky", "--fn", "koebe", "--z", "0.3", "--N", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["identity_residual"] == 0.0
+    assert [args[2] for args in calls] == [4095, 4095, 4095]
+    for route in (grunsky_norm, psi_grunsky_identity_check):
+        assert "mesh" not in inspect.signature(route).parameters
+    assert "mesh" not in QuadratureResult.__dataclass_fields__
+
+
+@pytest.mark.parametrize("spec", FULL_MAPPINGS)
+def test_norm_estimate_reaches_full_mapping_closed_form(spec):
+    # the sum is a lower bound and its tail estimate reaches 1/(1-|z|^2), also
+    # close to the circle where the sum to 4095 is far from done
+    for z in TAIL_POINTS:
+        res = grunsky_norm(from_spec(spec), z)
+        exact = 1.0 / (1.0 - abs(z) ** 2)
+        assert res.value <= exact * (1 + 1e-12), (z, res)
+        assert exact <= (res.value + res.error_estimate) * (1 + 1e-12), (z, res)
+        if abs(z) <= 0.9:
+            assert res.error_estimate <= 1e-12, (z, res)
+
+
+@pytest.mark.parametrize("spec", OTHERS)
+def test_norm_brackets_a_longer_sum(spec):
+    fn = from_spec(spec)
+    for z in TAIL_POINTS:
+        res = grunsky_norm(fn, z)
+        psi = psi_via_transform(fn, z, 32767)
+        reference = math.sqrt(np.sum(np.arange(1, 32768) * np.abs(psi[1:]) ** 2)) / (1 - abs(z) ** 2)
+        assert res.value <= reference * (1 + 1e-12), (z, res, reference)
+        assert reference <= (res.value + res.error_estimate) * (1 + 1e-12), (z, res, reference)
+
+
+def test_tail_is_the_budget_while_the_terms_do_not_decay():
+    # D1 <= D2: a tail of 0 would claim the sum is done
+    partial = np.cumsum(np.full(4095, 1e-5))
+    assert quadrature._error(partial, 1.0) == 1.0 - partial[-1]
+    # terms 1/n^2: D2/D1 is about 1/2 per doubling, and the tail about D2
+    partial = np.cumsum(1.0 / np.arange(1, 4096) ** 2)
+    d1, d2 = partial[2046] - partial[1022], partial[4094] - partial[2046]
+    r = d2 / d1
+    assert quadrature._error(partial, 2.0) == d2 * r / (1 - r)
+    assert d2 * r / (1 - r) == pytest.approx(1 / 4095, rel=2e-3)
+    # terms at the engine's roundoff: no tail
+    partial = np.cumsum(np.full(4095, 1e-25))
+    assert quadrature._error(partial, 1.0) == 16 * np.finfo(float).eps * partial[-1]
 
 
 @pytest.mark.parametrize(

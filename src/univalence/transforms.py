@@ -56,7 +56,8 @@ def phi_capital_recentered(
     circle |w| = rho using closed-form point values, takes the lam-th power
     on the branch with log q(0) = 0, and inverts the discrete Fourier
     transform.  Falls back to smaller rho when the circle crosses or encloses
-    a zero of q, which happens for non-univalent f, or when the power or its
+    a zero of q, which happens for non-univalent f, when the power is larger
+    than a double resolves to the 1e-8 of the Phi_0 check, or when the
     coefficients leave the double range.
 
     The M samples are taken in L = M / 4096 blocks: block b is the 4096-point

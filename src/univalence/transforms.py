@@ -149,7 +149,7 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
 
     n = np.arange(count + 1)
     # the power, the transform and the division by rho^n may leave the double
-    # range (a large lam, or rho^-n past a fallback radius); that is refused below
+    # range (an infinite lam, or rho^-n past a fallback radius); that is refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeff = np.zeros(count + 1, dtype=np.complex128)
         for b in range(blocks):

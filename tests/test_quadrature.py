@@ -333,14 +333,16 @@ def test_tail_is_the_budget_while_the_terms_do_not_decay():
 @pytest.mark.parametrize(
     "compute,value,error",
     [
-        (lambda: prawitz_integral(KOEBE, 0.5, 0.0), 2.0, 4.440892098500626e-16),
+        (lambda: oracles.quadrature_area_integral(KOEBE, 0.5, 0.0), 2.0, 4.440892098500626e-16),
         (
-            lambda: prawitz_integral(get("rotated_koebe", theta=1.1), 0.3, 0.2 - 0.15j),
+            lambda: oracles.quadrature_area_integral(
+                get("rotated_koebe", theta=1.1), 0.3, 0.2 - 0.15j
+            ),
             3.3310030606546888,
             0.009803679150920619,
         ),
         (
-            lambda: prawitz_integral(CAYLEY, 1.0, 0.25 + 0.1j),
+            lambda: oracles.quadrature_area_integral(CAYLEY, 1.0, 0.25 + 0.1j),
             6.477140087012644e-29,
             2.1085946420422677e-30,
         ),

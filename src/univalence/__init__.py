@@ -33,11 +33,9 @@ from .errors import (
     UnivalenceError,
 )
 from .quadrature import (
-    MeshSpec,
     QuadratureResult,
     grunsky_kernel_point,
     grunsky_norm,
-    integrate_disk,
     prawitz_integral,
     psi_grunsky_identity_check,
 )

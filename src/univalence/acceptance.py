@@ -158,13 +158,13 @@ def check_recurrence_residual() -> AcceptanceResult:
 
 
 def check_duality() -> AcceptanceResult:
-    """Scaled integral equals scaled coefficient sum (both sides tend to 1)."""
+    """Scaled quadrature integral equals scaled coefficient sum (both sides tend to 1)."""
     k = catalog.get("koebe")
     t0 = time.perf_counter()
     details = []
     ok = True
     for lam in (0.5, 1.0):
-        r = quadrature.prawitz_integral(k, lam, 0.0)
+        r = oracles.quadrature_area_integral(k, lam, 0.0)
         s = criteria.prawitz_sum_s(k, lam, 4096)
         diff = abs(lam * r.value - s / lam)
         allow = 5e-3 + lam * r.error_estimate
@@ -191,19 +191,24 @@ def check_grunsky_equality() -> AcceptanceResult:
     )
 
 
+def _identity_sides(fn, z: complex, norm: float) -> tuple[float, float]:
+    """sum_{n<=64} n|Psi_n(f;z)|^2 and (1-|z|^2)^2 U_f(z)^2 from a kernel norm."""
+    psi = transforms.psi_via_transform(fn, z, 64)
+    n = np.arange(1, 65, dtype=np.float64)
+    return float(np.sum(n * np.abs(psi[1:]) ** 2)), (1.0 - abs(z) ** 2) ** 2 * norm**2
+
+
 def check_psi_grunsky_identity() -> AcceptanceResult:
     """Weighted exterior-coefficient sums against the quadrature kernel norm."""
     k = catalog.get("koebe")
     r0 = oracles.quadrature_identity_residual(k, 0.0, 64)
-    r3 = oracles.quadrature_identity_residual(k, 0.3, 64)
     norm = quadrature.grunsky_norm(k, 0.3)
     quad = oracles.quadrature_grunsky_norm(k, 0.3)
     gap = abs(norm.value - quad.value)
+    lhs3, rhs3 = _identity_sides(k, 0.3, quad.value)
+    r3 = abs(lhs3 - rhs3) / max(1e-12, lhs3, rhs3)
     cay = catalog.get("cayley")
-    psi = transforms.psi_via_transform(cay, 0.3, 64)
-    n = np.arange(1, 65, dtype=np.float64)
-    lhs = float(np.sum(n * np.abs(psi[1:]) ** 2))
-    rhs = (1.0 - 0.09) ** 2 * oracles.quadrature_grunsky_norm(cay, 0.3).value ** 2
+    lhs, rhs = _identity_sides(cay, 0.3, oracles.quadrature_grunsky_norm(cay, 0.3).value)
     ok = (
         r0 <= 2e-2
         and r3 <= 2e-2

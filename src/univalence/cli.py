@@ -16,7 +16,6 @@ import sys
 
 from . import catalog, criteria, quadrature, sequences, transforms
 from .errors import ConfigError, UnivalenceError
-from .quadrature import MeshSpec
 
 __all__ = ["main", "run"]
 
@@ -50,11 +49,6 @@ _MAXIMUM = {
 #: the subcommands whose --lambda is bounded by 1, and how: the area theorem and
 #: the scan's monotone regime take lambda <= 1, the growth bounds lambda < 1
 _LAMBDA_MAXIMUM = {"area": "<=", "scan": "<=", "bounds": "<"}
-
-#: largest accepted radial and angular node count R, A of ``--mesh``, with the
-#: reason: the fine pass integrates on 2R x 2A nodes and builds a 2R-point
-#: Gauss-Legendre rule from a 2R x 2R companion matrix
-_MESH_MAXIMUM = (1024, "quadrature cost")
 
 
 # --------------------------------------------------------------------------
@@ -201,25 +195,6 @@ def _check_flags(args) -> None:
         raise ConfigError("--tol", f"must be finite and >= 0, got {tol!r}")
 
 
-def _parse_mesh(spec: str | None, center: complex) -> MeshSpec:
-    if spec is None:
-        return MeshSpec(center=center)
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise ConfigError("--mesh", f"expected R,A,grading, got {spec!r}")
-    high, reason = _MESH_MAXIMUM
-    try:
-        radial, angular = int(parts[0]), int(parts[1])
-        grading = float(parts[2])
-        if max(radial, angular) > high:
-            raise ValueError(f"node counts must be <= {high} ({reason}), got {spec!r}")
-        return MeshSpec(
-            radial_nodes=radial, angular_nodes=angular, grading=grading, center=center
-        )
-    except ValueError as exc:
-        raise ConfigError("--mesh", str(exc)) from exc
-
-
 def _parse_grid(spec: str) -> list[complex]:
     if spec == "default":
         return criteria.default_grid()
@@ -286,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--z", default="0")
-    p.add_argument("--mesh", default=None, help="R,A,grading")
 
     p = sub.add_parser("grunsky", help="Grunsky norm and the exterior-sum identity residual")
     add_common(p)
@@ -369,15 +343,13 @@ def _cmd_bounds(args, fn):
 
 
 def _cmd_area(args, fn):
-    mesh = _parse_mesh(args.mesh, args.z)
-    res = quadrature.prawitz_integral(fn, args.lam, args.z, mesh)
+    res = quadrature.prawitz_integral(fn, args.lam, args.z)
     body = {
         "lambda": args.lam,
         "z": _cpx(args.z),
         "value": res.value,
         "error_estimate": res.error_estimate,
         "budget": 1.0 / args.lam,
-        "mesh": _fields(mesh),
     }
     return body, ("value", "error_estimate", "budget")
 

@@ -101,18 +101,6 @@ def test_bounds_csv_header_frozen(capsys):
     assert header == "n,phi_lhs,phi_rhs,phi_slack,cap_lhs,cap_rhs,cap_slack"
 
 
-def test_area_small_mesh(capsys):
-    code, out, _ = _capture(
-        capsys,
-        ["area", "--fn", "identity", "--lambda", "1", "--z", "0", "--mesh", "64,64,2"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert abs(payload["value"]) <= 1e-8
-    assert payload["budget"] == 1.0
-    assert payload["mesh"]["radial_nodes"] == 64
-
-
 def test_grunsky_estimate_reaches_koebe_norm_near_the_circle(capsys):
     # the sum to n = 4095 holds 7% of sum n|Psi_n|^2 = 1 here; the rest is tail
     code, out, _ = _capture(capsys, ["grunsky", "--fn", "koebe", "--z", "0.99i", "--N", "32"])
@@ -128,13 +116,6 @@ def test_config_error_names_field(capsys):
     )
     assert code == 2
     assert "--fn" in err
-
-    code, _, err = _capture(
-        capsys,
-        ["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "64,64"],
-    )
-    assert code == 2
-    assert "--mesh" in err
 
     code, _, err = _capture(
         capsys,
@@ -177,9 +158,10 @@ def test_numeric_error_exit_code(capsys):
         (["grunsky", "--fn", "koebe", "--N", "4097"], 2, "--N"),
         (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "201"], 2, "--N"),
         (["series", "--fn", "koebe", "--z", "0.3", "--count", "4096"], 1, "about 0.3 leave"),
-        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,nan"], 2, "--mesh"),
-        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,inf"], 2, "--mesh"),
-        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "1025,24,2"], 2, "--mesh"),
+        # the disk quadrature left the product, and --mesh with it: argparse refuses it
+        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "24,24,2"], 2, "--mesh"),
+        (["area", "--fn", "koebe", "--lambda", "0.5", "--mesh=1025,24,2"], 2, "--mesh"),
+        (["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.3", "--mesh", "64,64"], 2, "--mesh"),
         (["grunsky", "--fn", "koebe", "--mesh", "24,1025,2"], 2, "--mesh"),
         (["criterion", "--fn", "koebe", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
          "could not expand"),

@@ -1,5 +1,5 @@
-"""Disk quadrature, the weighted area integral, the Grunsky kernel, and its norm as
-an exterior coefficient sum."""
+"""The weighted area integral and the Grunsky norm as coefficient sums, the Grunsky
+kernel, and the disk quadrature that stays as their test oracle."""
 
 import inspect
 import json
@@ -12,12 +12,11 @@ from univalence import oracles, quadrature
 from univalence.catalog import from_spec, get, list_catalog
 from univalence.cli import run
 from univalence.errors import SingularSampleError
+from univalence.oracles import MeshSpec, integrate_disk, quadrature_area_integral
 from univalence.quadrature import (
-    MeshSpec,
     QuadratureResult,
     grunsky_kernel_point,
     grunsky_norm,
-    integrate_disk,
     prawitz_integral,
     psi_grunsky_identity_check,
 )
@@ -69,16 +68,16 @@ def test_rules_are_built_once_per_node_count(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    quadrature._gauss_legendre.cache_clear()
-    prawitz_integral(KOEBE, 0.5, 0.0)
+    oracles._gauss_legendre.cache_clear()
+    quadrature_area_integral(KOEBE, 0.5, 0.0)
     oracles.quadrature_grunsky_norm(KOEBE, 0.3)
     # the coarse and the fine radial rule, each once for both integrals
     assert built == [256, 512]
 
 
 def test_cached_rule_is_read_only():
-    x, wx = quadrature._gauss_legendre(16)
-    assert quadrature._gauss_legendre(16)[0] is x
+    x, wx = oracles._gauss_legendre(16)
+    assert oracles._gauss_legendre(16)[0] is x
     assert not (x.flags.writeable or wx.flags.writeable)
     with pytest.raises(ValueError):
         x[0] = 0.0
@@ -121,43 +120,43 @@ def test_singular_sample_reported():
 
 
 def test_area_identity_vanishes_at_origin():
-    res = prawitz_integral(IDENTITY, 1.0, 0.0, FAST)
-    assert abs(res.value) <= 1e-8
+    for mesh in (FAST, MeshSpec(64, 64, 2.0)):
+        res = quadrature_area_integral(IDENTITY, 1.0, 0.0, mesh)
+        assert abs(res.value) <= 1e-8
 
 
 def test_area_koebe_budget_equalities():
-    res = prawitz_integral(KOEBE, 1.0, 0.0, FAST)
+    res = quadrature_area_integral(KOEBE, 1.0, 0.0, FAST)
     assert abs(res.value - 1.0) <= 5e-3
-    res = prawitz_integral(KOEBE, 0.5, 0.0, FAST)
+    res = quadrature_area_integral(KOEBE, 0.5, 0.0, FAST)
     assert abs(res.value - 2.0) <= 1e-2
 
 
 def test_area_budget_inequality_sweep():
-    mesh_cache = {}
     for fn in list_catalog():
         if not fn.flags.univalent_on_disk:
             continue
         for lam in (0.25, 0.5, 1.0):
             for z in (0.0, 0.3, 0.3 + 0.2j):
-                mesh = mesh_cache.setdefault(
-                    z, MeshSpec(radial_nodes=128, angular_nodes=128, center=z)
-                )
-                res = prawitz_integral(fn, lam, z, mesh)
+                res = prawitz_integral(fn, lam, z)
                 assert (
                     res.value <= 1.0 / lam + 3.0 * res.error_estimate + 1e-12
                 ), (fn.label, lam, z, res.value, res.error_estimate)
 
 
 def test_area_refuses_non_univalent():
-    with pytest.raises(ValueError, match="univalent"):
-        prawitz_integral(get("exp_scale", k=4), 0.5, 0.0, FAST)
+    for route in (prawitz_integral, quadrature_area_integral):
+        with pytest.raises(ValueError, match="univalent"):
+            route(get("exp_scale", k=4), 0.5, 0.0)
 
 
 def test_area_validates_lambda_and_mesh_center():
-    with pytest.raises(ValueError):
-        prawitz_integral(KOEBE, 1.5, 0.0, FAST)
+    for route in (prawitz_integral, quadrature_area_integral):
+        for lam in (0.0, 1.5):
+            with pytest.raises(ValueError, match="lam"):
+                route(KOEBE, lam, 0.0)
     with pytest.raises(ValueError, match="centered"):
-        prawitz_integral(KOEBE, 0.5, 0.3, FAST)  # FAST is centered at 0
+        quadrature_area_integral(KOEBE, 0.5, 0.3, FAST)  # FAST is centered at 0
 
 
 # ------------------------------------------------------------ kernel
@@ -280,7 +279,7 @@ def test_grunsky_routes_make_one_engine_call_and_no_quadrature(monkeypatch, caps
         raise AssertionError("the disk quadrature is off the Grunsky route")
 
     monkeypatch.setattr(quadrature, "psi_via_transform", counting)
-    monkeypatch.setattr(quadrature, "integrate_disk", no_quadrature)
+    monkeypatch.setattr(oracles, "integrate_disk", no_quadrature)
     grunsky_norm(KOEBE, 0.3)
     psi_grunsky_identity_check(KOEBE, 0.3, 64)
     assert run(["grunsky", "--fn", "koebe", "--z", "0.3", "--N", "32"]) == 0
@@ -368,5 +367,5 @@ def test_identity_check_residual_is_pinned():
 
 def test_error_estimate_brackets_known_value():
     # the refinement estimate should not grossly understate the true error
-    res = prawitz_integral(KOEBE, 1.0, 0.3, MeshSpec(64, 64, 2.0, 0.3))
+    res = quadrature_area_integral(KOEBE, 1.0, 0.3, MeshSpec(64, 64, 2.0, 0.3))
     assert res.value <= 1.0 + 3.0 * res.error_estimate + 1e-12

@@ -12,6 +12,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import unittest.mock
 
 import pytest
 
@@ -45,9 +46,8 @@ CASES = {
     "bounds_json": ["bounds", "--fn", "koebe", "--lambda", "0.3", "--z", "0.2", "--N", "6"],
     "bounds_csv": ["bounds", "--fn", "cayley", "--lambda", "0.7", "--z", "0.1-0.2i", "--N", "6",
                    "--format", "csv"],
-    "area_json": ["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.2", "--mesh", "24,24,2"],
-    "area_csv": ["area", "--fn", "bounded:b=0.5", "--lambda", "0.7", "--z", "-0.3", "--mesh", "24,24,2",
-                 "--format", "csv"],
+    "area_json": ["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.2"],
+    "area_csv": ["area", "--fn", "bounded:b=0.5", "--lambda", "0.7", "--z", "-0.3", "--format", "csv"],
     "grunsky_json": ["grunsky", "--fn", "koebe", "--z", "0.3", "--N", "32"],
     "grunsky_csv": ["grunsky", "--fn", "quad_poly:a=0.3", "--z", "0.1+0.2i", "--N", "32",
                     "--format", "csv"],
@@ -69,8 +69,13 @@ def transcript(argv: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
         argv = [path if a == OUT else a for a in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
+        # argparse wraps its usage line to the terminal width, which it reads from COLUMNS
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                unittest.mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse refuses an unknown flag
+                code = exc.code
         text = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
         if os.path.exists(path):
             with open(path) as fh:

@@ -162,7 +162,7 @@ def _error(partial: np.ndarray, budget: float) -> float:
         tail = float(d2 * r / (1.0 - r))
     else:
         tail = budget - total
-    return max(min(tail, budget - total), _ROUNDOFF * total)
+    return float(max(min(tail, budget - total), _ROUNDOFF * total))
 
 
 def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult, float]:

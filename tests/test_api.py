@@ -19,6 +19,12 @@ MOVED = (
     "check_phi_recurrence",
     "quadrature_grunsky_norm",
     "quadrature_identity_residual",
+    "MeshSpec",
+    "integrate_disk",
+    "quadrature_area_integral",
+    "_pullback_kernel_series",
+    "_polar_rule",
+    "_gauss_legendre",
 )
 
 #: duplicate routes and helpers that no longer exist
@@ -31,6 +37,8 @@ DELETED = (
     "_radial_branch_anchor",
     "_identity_residual",
     "_grunsky_kernel",
+    "_parse_mesh",
+    "_MESH_MAXIMUM",
 )
 
 PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")
@@ -69,3 +77,17 @@ def test_only_acceptance_imports_oracles():
         if any(_imports_oracles(node) for node in ast.walk(ast.parse(path.read_text())))
     }
     assert importers == {"acceptance.py"}
+
+
+#: names of the disk quadrature, which only the oracle module may mention
+QUADRATURE_NAMES = ("leggauss", "integrate_disk", "MeshSpec", "_polar_rule")
+
+
+def test_disk_quadrature_stays_off_the_product_path():
+    mentions = {
+        path.name
+        for path in SRC.glob("*.py")
+        if any(name in path.read_text() for name in QUADRATURE_NAMES)
+    }
+    assert mentions == {"oracles.py"}
+    assert [name for name in QUADRATURE_NAMES if hasattr(univalence, name)] == []

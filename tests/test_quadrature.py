@@ -36,6 +36,11 @@ MOEBIUS = ("identity", "bounded:b=1", "bounded:b=0.5-0.3i", "sigma:zeta=0.3", "s
 OTHERS = ("quad_poly:a=0.3", "quad_poly:a=0.5", "exp_scale:k=1", "exp_scale:k=0.5")
 TAIL_POINTS = (0.0, 0.3, 0.2 - 0.45j, 0.6, -0.6j, 0.9, 0.95j, 0.99j, 0.995)
 
+#: the area sum's tail estimate reaches 1/lam for full mappings up to |z| = 0.6; at
+#: lam = 0.3 and |z| >= 0.9 it can fall short of the gap (see CHANGES)
+AREA_FULL_MAPPINGS = ("koebe", "rotated_koebe:theta=1.1", "rotated_koebe:theta=2", "rotated_koebe:theta=3.782367")
+AREA_POINTS = TAIL_POINTS[:5]
+
 
 # ------------------------------------------------------------ mesh / rule
 
@@ -157,6 +162,79 @@ def test_area_validates_lambda_and_mesh_center():
                 route(KOEBE, lam, 0.0)
     with pytest.raises(ValueError, match="centered"):
         quadrature_area_integral(KOEBE, 0.5, 0.3, FAST)  # FAST is centered at 0
+
+
+@pytest.mark.parametrize("spec", AREA_FULL_MAPPINGS)
+def test_area_sum_brackets_full_mapping_budget(spec):
+    # the sum is a lower bound with no clip, and its tail estimate reaches 1/lam
+    fn = from_spec(spec)
+    for lam in (0.3, 0.5, 1.0):
+        for z in AREA_POINTS:
+            res = prawitz_integral(fn, lam, z)
+            assert res.value <= (1.0 / lam) * (1 + 1e-14), (lam, z, res)
+            assert 1.0 / lam <= (res.value + res.error_estimate) * (1 + 1e-13), (lam, z, res)
+
+
+def test_area_sum_vanishes_for_moebius():
+    # at lam = 1 for every Moebius map; below 1 only the identity's vanishes at z = 0
+    cases = [(spec, 1.0, z) for spec in MOEBIUS for z in TAIL_POINTS]
+    cases += [("identity", lam, 0.0) for lam in (0.3, 0.5)]
+    for spec, lam, z in cases:
+        res = prawitz_integral(from_spec(spec), lam, z)
+        assert max(res.value, res.error_estimate) <= 1e-8, (spec, lam, z, res)
+
+
+@pytest.mark.parametrize(
+    "spec,lam,z",
+    [
+        ("koebe", 0.5, 0.2),
+        ("quad_poly:a=0.4", 0.3, 0.2 - 0.15j),
+        ("exp_scale:k=1", 0.5, 0.1 + 0.2j),
+        ("cayley", 1.0, 0.25 + 0.1j),
+        ("bounded:b=0.5", 0.7, -0.3),
+        ("identity", 0.8, 0.3),
+        ("rotated_koebe:theta=2", 0.3, 0.3),
+    ],
+)
+def test_area_sum_agrees_with_quadrature_oracle(spec, lam, z):
+    fn = from_spec(spec)
+    res = prawitz_integral(fn, lam, z)
+    quad = quadrature_area_integral(fn, lam, z)
+    if quad.error_estimate < 2e-15:
+        assert abs(res.value - quad.value) <= 2e-15
+    else:
+        assert abs(res.value - quad.value) <= quad.error_estimate + res.error_estimate
+
+
+def test_area_sum_stays_within_budget_where_the_quadrature_overshoots():
+    # rotated Koebe at lam = 0.3, z = 0.3: the quadrature reads 3.33453 +- 3.8e-3,
+    # above 1/lam; the sum reads 3.333299 with a tail of 3.4e-5 that reaches 1/lam
+    fn, lam, z = get("rotated_koebe", theta=2), 0.3, 0.3
+    quad = quadrature_area_integral(fn, lam, z)
+    res = prawitz_integral(fn, lam, z)
+    assert quad.value > 1.0 / lam
+    assert res.value <= 1.0 / lam <= res.value + res.error_estimate
+    assert res.error_estimate <= 1e-4
+
+
+def test_area_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
+    calls = []
+    engine = quadrature.phi_capital_recentered
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the disk quadrature is off the area route")
+
+    monkeypatch.setattr(quadrature, "phi_capital_recentered", counting)
+    monkeypatch.setattr(oracles, "integrate_disk", no_quadrature)
+    assert prawitz_integral(KOEBE, 0.5, 0.3).value == pytest.approx(2.0, rel=1e-14)
+    assert run(["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.3"]) == 0
+    assert "mesh" not in json.loads(capsys.readouterr().out)
+    assert [args[3] for args in calls] == [4096, 4096]
+    assert "mesh" not in inspect.signature(prawitz_integral).parameters
 
 
 # ------------------------------------------------------------ kernel

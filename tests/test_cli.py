@@ -101,6 +101,18 @@ def test_bounds_csv_header_frozen(capsys):
     assert header == "n,phi_lhs,phi_rhs,phi_slack,cap_lhs,cap_rhs,cap_slack"
 
 
+def test_area_small_mesh(capsys):
+    # the identity's area integral vanishes at z = 0; the command reads it from the
+    # coefficient sum and prints no mesh (the 64x64 quadrature case is in test_quadrature)
+    code, out, _ = _capture(capsys, ["area", "--fn", "identity", "--lambda", "1", "--z", "0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["value"]) <= 1e-8
+    assert abs(payload["error_estimate"]) <= 1e-8
+    assert payload["budget"] == 1.0
+    assert "mesh" not in payload
+
+
 def test_grunsky_estimate_reaches_koebe_norm_near_the_circle(capsys):
     # the sum to n = 4095 holds 7% of sum n|Psi_n|^2 = 1 here; the rest is tail
     code, out, _ = _capture(capsys, ["grunsky", "--fn", "koebe", "--z", "0.99i", "--N", "32"])

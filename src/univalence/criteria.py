@@ -4,8 +4,10 @@ The central quantity is the weighted tail sum T_N = sum_{n=1..N} (n-lam)|A_n|^2
 built from the recentered coefficients A_n at a probe point zeta.  For a
 univalent function T_N never exceeds the budget lam (for any zeta), with
 equality in the limit exactly for full mappings; a partial sum already above
-the budget therefore certifies non-univalence whenever the discarded tail
-cannot be negative (lam <= 1, or truncation beyond lam).
+the budget therefore certifies non-univalence.  The same sums give the
+weighted area integral and the Grunsky norm of :mod:`univalence.quadrature`:
+``_partial_sums`` is the one routine that turns the engine's coefficients into
+weighted sums, and ``_error`` estimates the tail of such a sum.
 
 Verdicts are deliberately one-sided: "consistent" never certifies univalence,
 it only reports that no violation was found at this truncation.
@@ -23,7 +25,7 @@ from .catalog import CatalogFunction, series_at
 from .errors import NormalizationError, UnivalenceError
 from .sequences import aharonov_phi, phi_capital_direct
 from .series import gen_binomial
-from .transforms import phi_capital_recentered
+from .transforms import _GROWTH, phi_capital_recentered
 
 __all__ = [
     "CriterionReport",
@@ -44,7 +46,10 @@ DEFAULT_TOL = 1e-9
 #: full-mapping equality window at the default scan truncation
 _EPS_SCAN = 0.05
 
-Verdict = Literal["consistent", "violated", "indeterminate"]
+#: least error estimate relative to a sum: sums land within 3 eps of closed forms
+_ROUNDOFF = 16 * np.finfo(float).eps
+
+Verdict = Literal["consistent", "violated"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +115,6 @@ def prawitz_sum_s(fn: CatalogFunction, lam: float, N: int) -> float:
     This is the criterion sum T_N at zeta = 0, where the recentered
     coefficients are the a_n themselves.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     c = series_at(fn, 0.0, 1).coeffs
     if abs(c[0]) > 1e-12 or abs(c[1] - 1.0) > 1e-12:
         raise NormalizationError(
@@ -128,13 +129,44 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
-def _verdict(T_N: float, lam: float, N: int, tol: float) -> Verdict:
-    if T_N <= lam + tol:
-        return "consistent"
-    # above budget: certifiable only when the discarded tail is nonnegative
-    if lam <= 1.0 or N >= lam:
-        return "violated"
-    return "indeterminate"
+def _partial_sums(
+    fn: CatalogFunction, lam: float, zeta: complex, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A_1..A_N at zeta and the partial sums S_K = sum_{n<=K} (n-lam)|A_n|^2,
+    K = 1..N, from one engine call; a non-finite sum is refused."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    A = phi_capital_recentered(fn, zeta, lam, N)[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        S = np.cumsum((np.arange(1, N + 1) - lam) * np.abs(A) ** 2)
+    if not math.isfinite(S[-1]):
+        raise UnivalenceError(
+            f"the criterion sum at zeta={complex(zeta)} leaves the double range at N={N}"
+        )
+    return A, S
+
+
+def _error(partial: np.ndarray, budget: float) -> float:
+    """The error of a sum of terms >= 0 from its ``partial`` sums S_1..S_K: the
+    tail, at most ``budget`` less the sum and at least the sum's roundoff.
+
+    D1 = S_{K/2} - S_{K/4} and D2 = S_K - S_{K/2} fall by r = D2/D1 per doubling
+    of K for an algebraic tail, which is then D2 r/(1 - r).  There is no tail if
+    D2 is at the roundoff of the sum or of K engine terms (rho^-N <= _GROWTH);
+    if the differences do not shrink, the sum is far from done and the tail is
+    the whole budget.
+    """
+    K = partial.size
+    quarter, half, total = partial[K // 4 - 1], partial[K // 2 - 1], float(partial[-1])
+    d1, d2 = half - quarter, total - half
+    if d2 <= max(1e-13 * total, (_GROWTH * K * np.finfo(float).eps) ** 2):
+        tail = 0.0
+    elif d1 > d2:
+        r = d2 / d1
+        tail = float(d2 * r / (1.0 - r))
+    else:
+        tail = budget - total
+    return float(max(min(tail, budget - total), _ROUNDOFF * total))
 
 
 def univalence_criterion(
@@ -146,35 +178,24 @@ def univalence_criterion(
 ) -> CriterionReport:
     """Evaluate the truncated criterion sum at zeta and classify it.
 
-    T_N above lam + tol certifies non-univalence (the remaining terms all
-    carry nonnegative weight once n exceeds lam); T_N at or below budget is
+    T_N above lam + tol certifies non-univalence: such a sum runs past
+    n = lam (below it every weight n - lam is negative and T_N <= 0), so the
+    discarded terms carry nonnegative weight.  T_N at or below budget is
     merely consistent with univalence.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     _check_tol(tol)
-    zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
-        raise ValueError("|zeta| must be < 1")
-    A = phi_capital_recentered(fn, zeta, lam, N)[1:]
-    n = np.arange(1, N + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
-        T = float(np.sum((n - lam) * np.abs(A) ** 2))
-    if not math.isfinite(T):
-        raise UnivalenceError(
-            f"the criterion sum at zeta={zeta} leaves the double range at N={N}"
-        )
-    sup = float(np.max(np.abs(A)))
+    A, S = _partial_sums(fn, lam, zeta, N)
+    T = float(S[-1])
     return CriterionReport(
         lam=lam,
-        zeta=zeta,
+        zeta=complex(zeta),
         N=N,
         terms=A,
         T_N=T,
         budget=lam,
         margin=lam - T,
-        sup_abs_term=sup,
-        verdict=_verdict(T, lam, N, tol),
+        sup_abs_term=float(np.max(np.abs(A))),
+        verdict="consistent" if T <= lam + tol else "violated",
     )
 
 

@@ -91,3 +91,12 @@ def test_disk_quadrature_stays_off_the_product_path():
     }
     assert mentions == {"oracles.py"}
     assert [name for name in QUADRATURE_NAMES if hasattr(univalence, name)] == []
+
+
+def test_quadrature_imports_nothing_from_transforms():
+    # the sums read the engine only through criteria._partial_sums
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    modules = [
+        node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert [m for m in modules if m.split(".")[-1] == "transforms"] == []

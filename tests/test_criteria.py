@@ -114,6 +114,10 @@ def test_criterion_koebe_at_origin():
     assert rep.verdict == "consistent"
     assert rep.budget == 0.5
     assert rep.sup_abs_term == pytest.approx(1.0, abs=1e-15)
+    # below n = lam every weight n - lam is negative: no sum there exceeds the budget
+    rep = univalence_criterion(KOEBE, 3.0, 0.0, 2)
+    assert rep.T_N <= 0.0
+    assert rep.verdict == "consistent"
 
 
 def test_criterion_identity_matches_series_oracle():
@@ -191,6 +195,8 @@ def test_criterion_validates_inputs():
         univalence_criterion(KOEBE, -1.0, 0.0, 8)
     with pytest.raises(ValueError):
         univalence_criterion(KOEBE, 0.5, 1.0, 8)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        univalence_criterion(KOEBE, 0.5, 0.3, 0)
 
 
 # ------------------------------------------------------------ scans

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from univalence import oracles, quadrature
+from univalence import criteria, oracles, quadrature
 from univalence.catalog import from_spec, get, list_catalog
 from univalence.cli import run
 from univalence.errors import SingularSampleError
@@ -22,6 +22,7 @@ from univalence.quadrature import (
 )
 from univalence.sequences import aharonov_phi
 from univalence.catalog import series_at
+from univalence.criteria import univalence_criterion
 from univalence.transforms import psi_via_transform
 
 KOEBE = get("koebe")
@@ -218,9 +219,21 @@ def test_area_sum_stays_within_budget_where_the_quadrature_overshoots():
     assert abs(res.value - quad.value) <= quad.error_estimate
 
 
+@pytest.mark.parametrize(
+    "spec", ["koebe", "rotated_koebe:theta=1.1", "bounded:b=0.5-0.3i", "quad_poly:a=0.3", "exp_scale:k=1", "cayley"]
+)
+def test_area_integral_is_the_criterion_sum_over_lam_squared(spec):
+    # one partial-sum routine: the same summation order, so equal bit for bit
+    fn = from_spec(spec)
+    for lam in (0.3, 0.5, 1.0):
+        for z in (0.0, 0.3, 0.2 - 0.45j, 0.9):
+            T = univalence_criterion(fn, lam, z, 4096).T_N
+            assert T / lam**2 == prawitz_integral(fn, lam, z).value, (lam, z)
+
+
 def test_area_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
     calls = []
-    engine = quadrature.phi_capital_recentered
+    engine = criteria.phi_capital_recentered
 
     def counting(*args):
         calls.append(args)
@@ -229,12 +242,12 @@ def test_area_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys)
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the disk quadrature is off the area route")
 
-    monkeypatch.setattr(quadrature, "phi_capital_recentered", counting)
+    monkeypatch.setattr(criteria, "phi_capital_recentered", counting)
     monkeypatch.setattr(oracles, "integrate_disk", no_quadrature)
     assert prawitz_integral(KOEBE, 0.5, 0.3).value == pytest.approx(2.0, rel=1e-14)
     assert run(["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.3"]) == 0
     assert "mesh" not in json.loads(capsys.readouterr().out)
-    assert [args[3] for args in calls] == [4096, 4096]
+    assert [args[2:] for args in calls] == [(0.5, 4096), (0.5, 4096)]
     assert "mesh" not in inspect.signature(prawitz_integral).parameters
 
 
@@ -327,7 +340,7 @@ def test_psi_identity_requires_truncation_depth(monkeypatch):
     def no_engine(*args, **kwargs):
         raise AssertionError("the engine must not be called")
 
-    monkeypatch.setattr(quadrature, "psi_via_transform", no_engine)
+    monkeypatch.setattr(criteria, "phi_capital_recentered", no_engine)
     for N in (16, 31, 4096):
         with pytest.raises(ValueError, match="N must be >= 32"):
             psi_grunsky_identity_check(KOEBE, 0.0, N)
@@ -344,11 +357,15 @@ def test_norm_and_identity_share_one_exterior_sum():
     assert share > 1e-6
     assert psi_grunsky_identity_check(fn, z, 32) == share
     assert psi_grunsky_identity_check(fn, z, 4095) == 0.0
+    # the sum is the criterion sum at lam = 1 and N = 4096, bit for bit
+    for fn, z in ((fn, z), (KOEBE, 0.3), (get("exp_scale", k=1), 0.2 - 0.45j)):
+        T = univalence_criterion(fn, 1.0, z, 4096).T_N
+        assert grunsky_norm(fn, z).value == math.sqrt(T) / (1 - abs(z) ** 2)
 
 
 def test_grunsky_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
     calls = []
-    engine = quadrature.psi_via_transform
+    engine = criteria.phi_capital_recentered
 
     def counting(*args):
         calls.append(args)
@@ -357,13 +374,13 @@ def test_grunsky_routes_make_one_engine_call_and_no_quadrature(monkeypatch, caps
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the disk quadrature is off the Grunsky route")
 
-    monkeypatch.setattr(quadrature, "psi_via_transform", counting)
+    monkeypatch.setattr(criteria, "phi_capital_recentered", counting)
     monkeypatch.setattr(oracles, "integrate_disk", no_quadrature)
     grunsky_norm(KOEBE, 0.3)
     psi_grunsky_identity_check(KOEBE, 0.3, 64)
     assert run(["grunsky", "--fn", "koebe", "--z", "0.3", "--N", "32"]) == 0
     assert json.loads(capsys.readouterr().out)["identity_residual"] == 0.0
-    assert [args[2] for args in calls] == [4095, 4095, 4095]
+    assert [args[2:] for args in calls] == [(1.0, 4096)] * 3
     for route in (grunsky_norm, psi_grunsky_identity_check):
         assert "mesh" not in inspect.signature(route).parameters
     assert "mesh" not in QuadratureResult.__dataclass_fields__
@@ -396,16 +413,16 @@ def test_norm_brackets_a_longer_sum(spec):
 def test_tail_is_the_budget_while_the_terms_do_not_decay():
     # D1 <= D2: a tail of 0 would claim the sum is done
     partial = np.cumsum(np.full(4095, 1e-5))
-    assert quadrature._error(partial, 1.0) == 1.0 - partial[-1]
+    assert criteria._error(partial, 1.0) == 1.0 - partial[-1]
     # terms 1/n^2: D2/D1 is about 1/2 per doubling, and the tail about D2
     partial = np.cumsum(1.0 / np.arange(1, 4096) ** 2)
     d1, d2 = partial[2046] - partial[1022], partial[4094] - partial[2046]
     r = d2 / d1
-    assert quadrature._error(partial, 2.0) == d2 * r / (1 - r)
+    assert criteria._error(partial, 2.0) == d2 * r / (1 - r)
     assert d2 * r / (1 - r) == pytest.approx(1 / 4095, rel=2e-3)
     # terms at the engine's roundoff: no tail
     partial = np.cumsum(np.full(4095, 1e-25))
-    assert quadrature._error(partial, 1.0) == 16 * np.finfo(float).eps * partial[-1]
+    assert criteria._error(partial, 1.0) == 16 * np.finfo(float).eps * partial[-1]
 
 
 @pytest.mark.parametrize(

@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coefficient sequences, area sums and univalence "
         "criteria for analytic functions on the unit disk.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add_common(p):
         p.add_argument("--fn", required=True, help="catalog id, e.g. koebe or exp_scale:k=4")

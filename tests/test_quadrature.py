@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from univalence import criteria, oracles, quadrature
+from univalence import criteria, oracles
 from univalence.catalog import from_spec, get, list_catalog
 from univalence.cli import run
 from univalence.errors import SingularSampleError

@@ -13,6 +13,7 @@ each check and then frozen.
 from __future__ import annotations
 
 import time
+import unittest.mock
 from dataclasses import dataclass
 from typing import Callable
 
@@ -296,6 +297,34 @@ def check_fullmap_scan() -> AcceptanceResult:
     )
 
 
+def check_exp_threshold_sharpness() -> AcceptanceResult:
+    """e^{kz} is univalent exactly for k <= pi: no violation at k = 3.1 on 193 points
+    out to |zeta| = 0.95 at N = 1000, and a violation at k = 3.2, zeta = +-0.95i, read
+    on the engine's first sampling radius alone."""
+    grid = criteria.default_grid(radii=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95), angles=32)
+    below = catalog.get("exp_scale", k=3.1)
+    violated = [
+        sum(r.verdict == "violated" for r in criteria.fullmap_scan(below, lam, grid, 1000).rows)
+        for lam in (0.5, 1.0)
+    ]
+    above = catalog.get("exp_scale", k=3.2)
+    sums, radii = [], set()
+    for zeta in (0.95j, -0.95j):
+        with unittest.mock.patch.object(transforms, "_expand", wraps=transforms._expand) as expand:
+            rep = criteria.univalence_criterion(above, 0.5, zeta, 1000)
+        sums.append(rep.T_N if rep.verdict == "violated" else float("nan"))
+        radii.update(call.args[6] for call in expand.call_args_list)
+    first = transforms._sampling(1000)[0][0]
+    ok = violated == [0, 0] and all(t > 0.5 for t in sums) and radii == {first}
+    return AcceptanceResult(
+        "exp-threshold-sharpness",
+        ok,
+        f"k=3.1 violated at {violated[0]}/{violated[1]} of {len(grid)} points (lam=1/2, 1); "
+        f"k=3.2 at +-0.95i: T_N={sums[0]:.5f}, {sums[1]:.5f} on radii "
+        f"{', '.join(f'{r:.5f}' for r in sorted(radii))} (first {first:.5f})",
+    )
+
+
 CHECKS: tuple[tuple[str, Callable[[], AcceptanceResult]], ...] = (
     ("1", check_prawitz_equality),
     ("2", check_three_way_agreement),
@@ -308,6 +337,7 @@ CHECKS: tuple[tuple[str, Callable[[], AcceptanceResult]], ...] = (
     ("9", check_criterion_soundness),
     ("10", check_decay_bounds),
     ("11", check_fullmap_scan),
+    ("12", check_exp_threshold_sharpness),
 )
 
 

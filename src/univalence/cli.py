@@ -37,13 +37,13 @@ _MINIMUM = {
 _ENGINE_MAXIMUM = (4096, "engine cost")
 
 #: largest accepted value of each integer flag, by subcommand or sequence kind, with
-#: the reason; ``bounds`` sums O(N^3) majorants (1 s at 200)
+#: the reason; ``bounds`` reads its left sides from series about z, which lose digits
 _MAXIMUM = {
     ("criterion", "N"): _ENGINE_MAXIMUM,
     ("scan", "N"): _ENGINE_MAXIMUM,
     ("Psi", "count"): (4095, "engine cost"),
     ("grunsky", "N"): (4095, "engine cost"),
-    ("bounds", "N"): (200, "majorant cost"),
+    ("bounds", "N"): (200, "left sides from series about z"),
 }
 
 #: the subcommands whose --lambda is bounded by 1, and how: the area theorem and

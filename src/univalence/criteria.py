@@ -24,7 +24,6 @@ import numpy as np
 from .catalog import CatalogFunction, series_at
 from .errors import NormalizationError, UnivalenceError
 from .sequences import aharonov_phi, phi_capital_direct
-from .series import gen_binomial
 from .transforms import _GROWTH, phi_capital_recentered
 
 __all__ = [
@@ -252,58 +251,45 @@ def decay_bound_checks(
     For each n <= N, compares
 
     * (1-|z|^2)^(n+1) |phi_n| against sum_{k=1..n} binom(n-1,k-1)|z|^(n-k)/sqrt(k),
-    * (1-|z|^2)^n |Phi_{lam,n}| against the double-binomial majorant with
-      factors sqrt(lam)/sqrt(|k-lam|), evaluated literally as printed.
+    * (1-|z|^2)^n |Phi_{lam,n}| against the double-binomial majorant
+      sum_{j<=n} binom(lam,n-j)|z|^(n-j) B_j, with B_0 = 1 and
+      B_j = sum_{k=1..j} binom(j-1,k-1)|z|^(j-k) sqrt(lam/|k-lam|).
 
-    Slack = bound - value; the report's worst slack must be >= -tol for the
-    bounds to hold.
+    Both right sides are array sums over one table of binom(m,i)|z|^(m-i); the
+    printed double sum is the test oracle ``_literal_majorants``.  Slack =
+    bound - value; the report's worst slack must be >= -tol for the bounds to
+    hold.
     """
     if not fn.flags.univalent_on_disk:
         raise ValueError(f"{fn.label} is not flagged univalent; bounds do not apply")
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0,1)")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("|z| must be < 1")
     s = series_at(fn, z, N + 2)
     phi = aharonov_phi(s, N).values
     Phi = phi_capital_direct(s, lam, N).values
-    omz = 1.0 - abs(z) ** 2
     az = abs(z)
-    # the same binomials recur for every n, so they are tabulated once:
-    # lam_binom[m] = binom(lam, m) and int_binom[j][m] = binom(j-1, m), m <= j
-    lam_binom = [gen_binomial(lam, m) for m in range(N + 1)]
-    int_binom = [[gen_binomial(j - 1, m) for m in range(j + 1)] for j in range(N + 1)]
+    omz = 1.0 - az**2
+    # Q[m, i] = binom(m, i)|z|^(m-i), the coefficients of (|z| + x)^m, by Pascal's rule
+    Q = np.zeros((N, N))
+    Q[0, 0] = 1.0
+    for m in range(1, N):
+        Q[m] = az * Q[m - 1]
+        Q[m, 1:] += Q[m - 1, :-1]
+    k = np.arange(1.0, N + 1)
+    phi_rhs = Q @ (1.0 / np.sqrt(k))
+    B = np.concatenate(([1.0], Q @ np.sqrt(lam / np.abs(k - lam))))
+    # binom(lam, m)|z|^m for m = 0..N
+    outer = np.cumprod(np.concatenate(([1.0], (lam - k + 1.0) / k * az)))
+    cap_rhs = np.convolve(outer, B)[1 : N + 1]
     rows = []
-    worst = math.inf
-    for n in range(1, N + 1):
-        phi_rhs = sum(
-            int_binom[n][k - 1] * az ** (n - k) / math.sqrt(k)
-            for k in range(1, n + 1)
-        )
-        phi_lhs = omz ** (n + 1) * abs(phi[n])
-        cap_rhs = 0.0
-        for j in range(n + 1):
-            outer = lam_binom[n - j]
-            if outer == 0.0:
-                continue
-            for k in range(j + 1):
-                b = int_binom[j][j - k]
-                if b == 0.0:
-                    continue
-                cap_rhs += (
-                    outer * b * math.sqrt(lam) / math.sqrt(abs(k - lam)) * az ** (n - k)
-                )
-        cap_lhs = omz**n * abs(Phi[n])
-        row = DecayRow(
-            n=n,
-            phi_lhs=float(phi_lhs),
-            phi_rhs=float(phi_rhs),
-            phi_slack=float(phi_rhs - phi_lhs),
-            cap_lhs=float(cap_lhs),
-            cap_rhs=float(cap_rhs),
-            cap_slack=float(cap_rhs - cap_lhs),
-        )
-        rows.append(row)
-        worst = min(worst, row.phi_slack, row.cap_slack)
-    return DecayReport(lam=lam, z=z, rows=tuple(rows), worst_slack=float(worst))
+    for n, p_rhs, c_rhs in zip(range(1, N + 1), phi_rhs.tolist(), cap_rhs.tolist()):
+        phi_lhs = float(omz ** (n + 1) * abs(phi[n]))
+        cap_lhs = float(omz**n * abs(Phi[n]))
+        rows.append(DecayRow(n, phi_lhs, p_rhs, p_rhs - phi_lhs, cap_lhs, c_rhs, c_rhs - cap_lhs))
+    worst = min(min(r.phi_slack, r.cap_slack) for r in rows)
+    return DecayReport(lam=lam, z=z, rows=tuple(rows), worst_slack=worst)

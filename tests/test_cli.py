@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -255,7 +257,7 @@ def test_selftest_passes(capsys):
     code, out, _ = _capture(capsys, ["selftest"])
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
 
 
@@ -295,3 +297,24 @@ def test_engine_refusal_without_numpy_warnings():
         assert "could not expand" in proc.stderr
         assert "the lam-th power of q exceeds what a double resolves at rho=0.55" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+def _readme_commands():
+    # every `univalence <command> ...` line of the README's sh blocks, without its comment
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["univalence"] and argv[1:2] != ["selftest"]]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_its_cli_examples():
+    assert len(README_COMMANDS) >= 9
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_cli_examples_run(capsys, argv):
+    code, _, err = _capture(capsys, argv)
+    assert code == 0, err

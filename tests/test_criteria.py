@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from univalence import transforms
 from univalence.catalog import from_spec, get, list_catalog, series_at
 from univalence.criteria import (
     decay_bound_checks,
@@ -152,6 +153,31 @@ def test_criterion_refuses_an_overflowing_sum():
         univalence_criterion(get("exp_scale", k=6), 0.5, -0.3j, 2000)
 
 
+def test_exp_scale_threshold_is_sharp(monkeypatch):
+    # e^{kz} is univalent on D exactly for k <= pi: no violation below the threshold on a
+    # grid out to |zeta| = 0.95, and one just above it near the circle, read on the
+    # first sampling radius alone, so no fallback radius decides the verdict
+    grid = default_grid(radii=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95), angles=32)
+    for lam in (0.5, 1.0):
+        rows = fullmap_scan(get("exp_scale", k=3.1), lam, grid, 1000).rows
+        assert len(rows) == 193
+        assert [r.zeta for r in rows if r.verdict == "violated"] == []
+    tried = []
+    expand = transforms._expand
+
+    def recording(*args):
+        tried.append(args[6])  # rho
+        return expand(*args)
+
+    monkeypatch.setattr(transforms, "_expand", recording)
+    for zeta in (0.95j, -0.95j):
+        tried.clear()
+        rep = univalence_criterion(get("exp_scale", k=3.2), 0.5, zeta, 1000)
+        assert rep.verdict == "violated"
+        assert rep.T_N == pytest.approx(0.70891, abs=1e-5)
+        assert tried == list(transforms._sampling(1000)[0][:1])
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tol"):
@@ -295,10 +321,14 @@ def _literal_majorants(az, lam, n):
 
 
 def test_decay_majorant_tables_match_literal_loops():
-    z, lam = 0.3 - 0.2j, 0.7
-    rep = decay_bound_checks(CAYLEY, z, 40, lam)
-    for row in rep.rows:
-        assert (row.phi_rhs, row.cap_rhs) == _literal_majorants(abs(z), lam, row.n)
+    # the array sums add in another order than the printed double sum: at most 1.7e-15
+    # relative apart up to N = 200
+    for fn, z, N, lam in ((CAYLEY, 0.3 - 0.2j, 40, 0.7), (KOEBE, 0.4, 60, 0.3)):
+        rep = decay_bound_checks(fn, z, N, lam)
+        for row in rep.rows:
+            phi_rhs, cap_rhs = _literal_majorants(abs(z), lam, row.n)
+            assert row.phi_rhs == pytest.approx(phi_rhs, rel=1e-14, abs=0)
+            assert row.cap_rhs == pytest.approx(cap_rhs, rel=1e-14, abs=0)
 
 
 def test_decay_requires_univalent_flag():
@@ -306,6 +336,9 @@ def test_decay_requires_univalent_flag():
         decay_bound_checks(get("exp_scale", k=4), 0.2, 6, 0.3)
     with pytest.raises(ValueError):
         decay_bound_checks(KOEBE, 0.2, 6, 1.0)
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            decay_bound_checks(KOEBE, 0.2, N, 0.3)
 
 
 # ------------------------------------------------------------ covariances

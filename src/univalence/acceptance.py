@@ -308,20 +308,20 @@ def check_exp_threshold_sharpness() -> AcceptanceResult:
         for lam in (0.5, 1.0)
     ]
     above = catalog.get("exp_scale", k=3.2)
-    sums, radii = [], set()
+    reps, radii = [], set()
     for zeta in (0.95j, -0.95j):
         with unittest.mock.patch.object(transforms, "_expand", wraps=transforms._expand) as expand:
-            rep = criteria.univalence_criterion(above, 0.5, zeta, 1000)
-        sums.append(rep.T_N if rep.verdict == "violated" else float("nan"))
+            reps.append(criteria.univalence_criterion(above, 0.5, zeta, 1000))
         radii.update(call.args[6] for call in expand.call_args_list)
     first = transforms._sampling(1000)[0][0]
-    ok = violated == [0, 0] and all(t > 0.5 for t in sums) and radii == {first}
+    ok = violated == [0, 0] and all(r.verdict == "violated" for r in reps) and radii == {first}
     return AcceptanceResult(
         "exp-threshold-sharpness",
         ok,
         f"k=3.1 violated at {violated[0]}/{violated[1]} of {len(grid)} points (lam=1/2, 1); "
-        f"k=3.2 at +-0.95i: T_N={sums[0]:.5f}, {sums[1]:.5f} on radii "
-        f"{', '.join(f'{r:.5f}' for r in sorted(radii))} (first {first:.5f})",
+        f"k=3.2 at +-0.95i: "
+        + ", ".join(f"T_N={r.T_N:.5f} {r.verdict}" for r in reps)
+        + f" on radii {', '.join(f'{r:.5f}' for r in sorted(radii))} (first {first:.5f})",
     )
 
 

@@ -256,9 +256,9 @@ def decay_bound_checks(
       B_j = sum_{k=1..j} binom(j-1,k-1)|z|^(j-k) sqrt(lam/|k-lam|).
 
     Both right sides are array sums over one table of binom(m,i)|z|^(m-i); the
-    printed double sum is the test oracle ``_literal_majorants``.  Slack =
-    bound - value; the report's worst slack must be >= -tol for the bounds to
-    hold.
+    printed double sum is the test oracle ``_literal_majorants`` in
+    ``tests/test_criteria.py``.  Slack = bound - value; the report's worst slack
+    must be >= -tol for the bounds to hold.
     """
     if not fn.flags.univalent_on_disk:
         raise ValueError(f"{fn.label} is not flagged univalent; bounds do not apply")

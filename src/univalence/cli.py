@@ -206,7 +206,7 @@ def _parse_grid(spec: str) -> list[complex]:
         angles = int(angles_part)
     except ValueError as exc:
         raise ConfigError("--grid", str(exc)) from exc
-    if any(r < 0 or r >= 1 for r in radii) or angles < 1:
+    if not all(0 <= r < 1 for r in radii) or angles < 1:
         raise ConfigError("--grid", "radii must lie in [0,1) and angle count >= 1")
     return criteria.default_grid(radii=tuple(radii), angles=angles)
 

@@ -240,6 +240,8 @@ def fullmap_scan(
         rows.append(ScanRow(complex(zeta), rep.T_N, rep.margin, rep.verdict))
         if not (-tol <= rep.margin <= _EPS_SCAN):
             ok = False
+    if not rows:
+        raise ValueError("grid must hold at least one point")
     return ScanResult(lam, N, tuple(rows), ok)
 
 

@@ -14,6 +14,9 @@ are kept as reference routes in :mod:`univalence.oracles`.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .catalog import CatalogFunction
@@ -25,8 +28,8 @@ __all__ = [
     "psi_via_transform",
 ]
 
-#: circle samples per block, and the fewest samples of any expansion
-_BLOCK = 4096
+#: the fewest circle samples of any expansion
+_MIN_SAMPLES = 4096
 #: fallback sampling radii, tried in turn below the first radius while q vanishes
 #: or winds on the circle
 _RADII = (0.95, 0.9, 0.82, 0.7, 0.55)
@@ -40,8 +43,16 @@ _POWER_LOG = float(np.log(1e-8 / np.finfo(float).eps))
 def _sampling(count: int) -> tuple[tuple[float, ...], int]:
     """Radii to try and the sample count for coefficients 0..count."""
     rho0 = max(_RADII[0], _GROWTH ** (-1.0 / max(count, 1)))
-    samples = max(_BLOCK, 1 << (4 * count - 1).bit_length())
+    samples = max(_MIN_SAMPLES, 1 << (4 * count - 1).bit_length())
     return (rho0,) + tuple(r for r in _RADII if r < rho0), samples
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(samples: int) -> np.ndarray:
+    """Read-only roots of unity exp(2 pi i j / samples), built once per sample count."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(samples) / samples))
+    roots.flags.writeable = False
+    return roots
 
 
 def phi_capital_recentered(
@@ -59,20 +70,14 @@ def phi_capital_recentered(
     a zero of q, which happens for non-univalent f, when the power is larger
     than a double resolves to the 1e-8 of the Phi_0 check, or when the
     coefficients leave the double range.
-
-    The M samples are taken in L = M / 4096 blocks: block b is the 4096-point
-    circle turned by 2 pi b / M, so sample j = r L + b of the whole circle is
-    block b's r-th point.  The leading coefficients combine the blocks' own
-    transforms with the twiddles exp(-2 pi i b k / M), one radix-L step of
-    the full transform, and no array spans the whole circle except the phase
-    and modulus of q.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
+    count = operator.index(count)
     if count < 0:
         raise ValueError("count must be >= 0")
     zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
+    if not abs(zeta) < 1.0:
         raise ValueError("|zeta| must be < 1")
 
     fz = complex(fn.f(zeta))
@@ -113,30 +118,22 @@ def _unwrap(p: np.ndarray) -> None:
 
 def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     """Coefficients 0..count from ``samples`` points on |w| = rho, or None and the reason."""
-    blocks = samples // _BLOCK
-    zb = np.conj(zeta)
-    loop = np.empty(samples + 1)  # arg q around the circle, closed by its first point
-    log_abs = np.empty(samples)
-    dq_min, dq_max = np.inf, 1.0
-    for b in range(blocks):
-        theta = 2.0 * np.pi * (np.arange(_BLOCK) * blocks + b) / samples
-        w = rho * np.exp(1j * theta)
-        sig = (w + zeta) / (1.0 + zb * w)
-        dq = fn.f(sig) - fz
-        if not np.all(np.isfinite(dq.real) & np.isfinite(dq.imag)):
-            return None, f"non-finite samples at rho={rho}"
-        adq = np.abs(dq)
-        dq_min, dq_max = min(dq_min, float(np.min(adq))), max(dq_max, float(np.max(adq)))
-        with np.errstate(divide="ignore", invalid="ignore"):  # dq = 0 is refused below
-            q = deriv0 * w / dq
-        loop[b:samples:blocks] = np.angle(q)
-        log_abs[b::blocks] = np.log(np.abs(q))
+    w = rho * _roots(samples)
+    sig = (w + zeta) / (1.0 + np.conj(zeta) * w)
+    dq = fn.f(sig) - fz
+    if not np.all(np.isfinite(dq.real) & np.isfinite(dq.imag)):
+        return None, f"non-finite samples at rho={rho}"
+    adq = np.abs(dq)
+    dq_min, dq_max = float(np.min(adq)), max(1.0, float(np.max(adq)))
     if dq_min < 1e-13 * dq_max:
         return None, f"collision point on the sampling circle at rho={rho}"
     # |q| = |deriv0| rho / |dq| on the circle, largest where |dq| is least
     if lam * float(np.log(abs(deriv0) * rho / dq_min)) > _POWER_LOG:
         return None, f"the lam-th power of q exceeds what a double resolves at rho={rho}"
+    q = deriv0 * w / dq
 
+    loop = np.empty(samples + 1)  # arg q around the circle, closed by its first point
+    loop[:-1] = np.angle(q)
     loop[-1] = loop[0]
     _unwrap(loop)
     winding = (loop[-1] - loop[0]) / (2.0 * np.pi)
@@ -147,15 +144,11 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     phase = loop[:-1]
     phase -= 2.0 * np.pi * np.round(np.mean(phase) / (2.0 * np.pi))
 
-    n = np.arange(count + 1)
     # the power, the transform and the division by rho^n may leave the double
     # range (an infinite lam, or rho^-n past a fallback radius); that is refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeff = np.zeros(count + 1, dtype=np.complex128)
-        for b in range(blocks):
-            H = np.exp(lam * (log_abs[b::blocks] + 1j * phase[b::blocks]))
-            coeff += np.exp(-2j * np.pi * b * n / samples) * np.fft.fft(H)[n % _BLOCK]
-        out = coeff / samples / rho**n
+        H = np.exp(lam * (np.log(np.abs(q)) + 1j * phase))
+        out = np.fft.fft(H)[: count + 1] / samples / rho ** np.arange(count + 1)
     if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
         return None, f"non-finite coefficients at rho={rho}"
     if not abs(out[0] - 1.0) <= 1e-8:

@@ -189,6 +189,7 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "8",
           "--tol", "-1"], 2, "--tol"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--tol", "inf"], 2, "--tol"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "nanx4"], 2, "--grid"),
         # Psi_0..Psi_count takes count + 1 engine coefficients
         (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4096"], 2, "--count"),
         (["grunsky", "--fn", "koebe", "--N", "4096"], 2, "--N"),

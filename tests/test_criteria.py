@@ -223,6 +223,8 @@ def test_criterion_validates_inputs():
         univalence_criterion(KOEBE, 0.5, 1.0, 8)
     with pytest.raises(ValueError, match="N must be >= 1"):
         univalence_criterion(KOEBE, 0.5, 0.3, 0)
+    with pytest.raises(TypeError, match="integer"):
+        univalence_criterion(KOEBE, 0.5, 0.3, 96.0)
 
 
 # ------------------------------------------------------------ scans
@@ -254,6 +256,12 @@ def test_scan_cayley_lambda_one():
 def test_scan_requires_monotone_regime():
     with pytest.raises(ValueError):
         fullmap_scan(KOEBE, 1.5, [0.0], 16)
+
+
+def test_scan_refuses_an_empty_grid():
+    # no rows would certify nothing, not a full mapping
+    with pytest.raises(ValueError, match="grid must hold at least one point"):
+        fullmap_scan(KOEBE, 0.5, [], 96)
 
 
 def test_scan_rows_keep_grid_order():

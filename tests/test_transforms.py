@@ -1,5 +1,7 @@
 """Automorphism pullbacks and the recentering routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,23 @@ def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):
     assert float(np.sum((n - lam) * np.abs(A[1:]) ** 2)) == T
 
 
+@pytest.mark.parametrize(
+    "spec,zeta,lam,N,last,T",
+    [
+        ("rotated_koebe:theta=2", 0.2 - 0.15j, 0.5, 1000,
+         1.5345360105501294e-16 - 6.261745157268561e-16j, 0.5000000000000001),
+        ("exp_scale:k=3", 0.6j, 1.0, 1024,
+         2.6156377411211568e-15 + 2.8934645478205543e-15j, 0.5088911521474094),
+    ],
+)
+def test_recentered_engine_long_counts_on_4096_samples_are_pinned(spec, zeta, lam, N, last, T):
+    # up to N = 1024 the engine samples 4096 points, on the first radius 100^(-1/N)
+    A = phi_capital_recentered(from_spec(spec), zeta, lam, N)
+    n = np.arange(1, N + 1)
+    assert complex(A[N]) == last
+    assert float(np.sum((n - lam) * np.abs(A[1:]) ** 2)) == T
+
+
 # -------------------------------------------------------------- sampling rule
 
 
@@ -225,7 +244,7 @@ def _assert_unwraps_like_numpy(p):
 @pytest.mark.parametrize("zeta", [0.0, 0.3, 0.2 - 0.15j])
 @pytest.mark.parametrize("count", [1000, 1500, 4096])
 def test_recentered_engine_identity_long_counts(zeta, count):
-    # one, two and four blocks; A_n = binom(lam, n) conj(zeta)^n
+    # 4096, 8192 and 16384 samples; A_n = binom(lam, n) conj(zeta)^n
     A = phi_capital_recentered(IDENTITY, zeta, 0.7, count)
     want = _binomial_run(0.7, count, np.conj(zeta))
     assert np.max(np.abs(A - want)) <= 1e-13
@@ -240,8 +259,8 @@ def test_recentered_engine_koebe_long_count_at_origin(lam):
 
 
 @pytest.mark.parametrize("count", [1500, 4096])
-def test_recentered_engine_blocks_equal_one_whole_circle_transform(count):
-    # the blockwise radix step against one FFT over all M samples
+def test_recentered_engine_is_one_whole_circle_transform(count):
+    # the engine against an independent reconstruction with np.unwrap
     fn, zeta, lam = get("rotated_koebe", theta=2.0), 0.2 - 0.15j, 0.5
     A = phi_capital_recentered(fn, zeta, lam, count)
     radii, M = transforms._sampling(count)
@@ -253,6 +272,55 @@ def test_recentered_engine_blocks_equal_one_whole_circle_transform(count):
     want = np.fft.fft(H)[: count + 1] / M / rho ** np.arange(count + 1)
     assert M > 4096
     assert np.max(np.abs(A - want)) <= 1e-13
+
+
+def test_roots_are_built_once_per_sample_count():
+    transforms._roots.cache_clear()
+    for count in (96, 1000, 2000, 96):
+        phi_capital_recentered(KOEBE, 0.3, 0.5, count)
+    # 4096 samples for the counts up to 1024, 8192 for 2000
+    assert transforms._roots.cache_info()[:2] == (2, 2)
+
+
+def test_cached_roots_are_read_only():
+    r = transforms._roots(16)
+    assert transforms._roots(16) is r
+    assert np.allclose(r, np.exp(2j * np.pi * np.arange(16) / 16), rtol=0, atol=1e-15)
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "spec,zeta,radii",
+    [("koebe", 0.3, 1), ("exp_scale:k=3.3", -0.95j, 2)],
+)
+def test_expansion_evaluates_f_once_per_radius(spec, zeta, radii):
+    # f at zeta, then all M = 16384 points of each circle tried in one call
+    fn = from_spec(spec)
+    sizes = []
+
+    def counting(w):
+        sizes.append(np.size(w))
+        return fn._f(w)
+
+    phi_capital_recentered(dataclasses.replace(fn, _f=counting), zeta, 0.5, 4096)
+    assert sizes == [1] + [16384] * radii
+
+
+@pytest.mark.parametrize(
+    "lam,zeta,count,error,match",
+    [
+        (float("nan"), 0.3, 8, ValueError, "lam must be positive"),
+        (0.5, complex("nan"), 8, ValueError, r"\|zeta\| must be < 1"),
+        (0.5, complex(0.3, float("nan")), 8, ValueError, r"\|zeta\| must be < 1"),
+        (0.5, 0.3, 96.0, TypeError, "integer"),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recentered_engine_refuses_before_sampling(lam, zeta, count, error, match):
+    with pytest.raises(error, match=match):
+        phi_capital_recentered(KOEBE, zeta, lam, count)
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.3])

@@ -189,7 +189,6 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "8",
           "--tol", "-1"], 2, "--tol"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--tol", "inf"], 2, "--tol"),
-        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "nanx4"], 2, "--grid"),
         # Psi_0..Psi_count takes count + 1 engine coefficients
         (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4096"], 2, "--count"),
         (["grunsky", "--fn", "koebe", "--N", "4096"], 2, "--N"),
@@ -199,6 +198,7 @@ def test_numeric_error_exit_code(capsys):
         (["bounds", "--fn", "koebe", "--lambda", "1"], 2, "--lambda"),
         (["criterion", "--fn", "identity", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
          "could not expand"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "nanx4"], 2, "--grid"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -176,27 +176,15 @@ def test_recentered_engine_rejects_critical_point():
          -1.269545647816738e-05 - 1.536121882131998e-05j, -1.910851081775129),
         ("bounded:b=0.5", -0.2 + 0.3j, 0.7, 89,
          -3.550536263568598e-16 + 1.3425172882941642e-16j, 0.07300016103526788),
-    ],
-)
-def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):
-    # below N = 90 off the origin the engine samples 4096 points on |w| = 0.95
-    A = phi_capital_recentered(from_spec(spec), zeta, lam, N)
-    n = np.arange(1, N + 1)
-    assert complex(A[N]) == last
-    assert float(np.sum((n - lam) * np.abs(A[1:]) ** 2)) == T
-
-
-@pytest.mark.parametrize(
-    "spec,zeta,lam,N,last,T",
-    [
         ("rotated_koebe:theta=2", 0.2 - 0.15j, 0.5, 1000,
          1.5345360105501294e-16 - 6.261745157268561e-16j, 0.5000000000000001),
         ("exp_scale:k=3", 0.6j, 1.0, 1024,
          2.6156377411211568e-15 + 2.8934645478205543e-15j, 0.5088911521474094),
     ],
 )
-def test_recentered_engine_long_counts_on_4096_samples_are_pinned(spec, zeta, lam, N, last, T):
-    # up to N = 1024 the engine samples 4096 points, on the first radius 100^(-1/N)
+def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):
+    # up to N = 1024 the engine samples 4096 points, below N = 90 off the origin
+    # on |w| = 0.95
     A = phi_capital_recentered(from_spec(spec), zeta, lam, N)
     n = np.arange(1, N + 1)
     assert complex(A[N]) == last

@@ -1,5 +1,7 @@
 """Catalog entries: closed-form expansions, truth flags, spec-string parsing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,32 @@ def test_series_overflow_is_a_typed_refusal(spec, center):
     # 1/(1-a)^k overflows (koebe), or 1/(1+conj(zeta) a)^k underflows to a zero divisor (sigma)
     with pytest.raises(SeriesOverflowError, match="order 4096"):
         series_at(from_spec(spec), center, 4096)
+
+
+#: every family at its defaults, with drawn parameters, and at the parameters where
+#: a closed form degenerates (b = 0 and a = 0 leave the identity)
+PIN_SPECS = (
+    "identity", "koebe", "rotated_koebe", "bounded", "sigma", "cayley", "exp_scale", "quad_poly",
+    "rotated_koebe:theta=-0.7", "bounded:b=0.5-0.6i", "bounded:b=-1", "bounded:b=0",
+    "sigma:zeta=-0.4+0.35i", "exp_scale:k=4", "exp_scale:k=-1.3+2.2i",
+    "quad_poly:a=0.3-0.45i", "quad_poly:a=0",
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entries_are_pinned_bit_for_bit():
+    # one digest of every label, flag, note, Taylor coefficient and point value
+    t = np.arange(257)
+    points = 0.9 * np.sqrt(t / 256) * np.exp(2.399963229728653j * t)
+    digest = hashlib.sha1()
+    for spec in PIN_SPECS:
+        fn = from_spec(spec)
+        digest.update(f"{fn.label}|{fn.flags}|{fn.note}".encode())
+        for center in (0.0, 0.3, -0.2 + 0.25j, 0.1 - 0.4j):
+            digest.update(series_at(fn, center, 300).coeffs.tobytes())
+        digest.update(np.asarray(fn.f(points), dtype=np.complex128).tobytes())
+        digest.update(np.asarray(fn.df(points), dtype=np.complex128).tobytes())
+    assert digest.hexdigest() == "e5fc28b54a903a073dee845b6c22f09bdd9338da"
 
 
 # ------------------------------------------------------------------ flags

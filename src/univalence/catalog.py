@@ -7,12 +7,17 @@ obtained by numerical differentiation; they come from differentiated
 geometric series, the exponential series, or low-degree algebra, so they are
 oracle-grade.
 
-Entries are addressable by a spec string such as ``"koebe"``,
-``"exp_scale:k=4"`` or ``"quad_poly:a=0.4+0i"``.
+Each family is one constructor: its keyword defaults are the family's default
+parameters, it refuses parameters the family cannot take, and its Taylor rule
+sits next to its ``f`` and ``f'``.  Entries are addressable by a spec string
+such as ``"koebe"``, ``"exp_scale:k=4"`` or ``"quad_poly:a=0.4+0i"``; a
+non-finite parameter is refused for every family.
 """
 
 from __future__ import annotations
 
+import cmath
+import inspect
 import math
 import re
 from dataclasses import dataclass
@@ -94,7 +99,7 @@ def series_at(fn: CatalogFunction, center: complex, order: int) -> PowerSeries:
     double range, which happens at high order close to a singularity.
     """
     center = complex(center)
-    if abs(center) >= 1.0:
+    if not abs(center) < 1.0:
         raise ValueError(f"center {center} outside the open unit disk")
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -111,14 +116,7 @@ def series_at(fn: CatalogFunction, center: complex, order: int) -> PowerSeries:
 
 
 # --------------------------------------------------------------------------
-# closed-form expansion rules
-
-
-def _identity_coeffs(a: complex, n: int) -> np.ndarray:
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[0] = a
-    c[1] = 1.0
-    return c
+# the families, one constructor each (see the module docstring)
 
 
 def _koebe_coeffs_at(a: complex, n: int) -> np.ndarray:
@@ -128,98 +126,25 @@ def _koebe_coeffs_at(a: complex, n: int) -> np.ndarray:
     return (k + 1) * u ** (k + 2) - u ** (k + 1)
 
 
-def _rotated_koebe_coeffs(theta: float):
-    u = np.exp(1j * theta)
-
-    def rule(a: complex, n: int) -> np.ndarray:
-        # z/(1-uz)^2 = (1/u) * koebe(uz); chain rule scales coefficient k by u^k
-        base = _koebe_coeffs_at(u * a, n)
-        k = np.arange(n + 1)
-        return u ** (k - 1) * base
-
-    return rule
-
-
-def _bounded_coeffs(b: complex):
-    def rule(a: complex, n: int) -> np.ndarray:
+def _identity() -> CatalogFunction:
+    def coeffs(a: complex, n: int) -> np.ndarray:
         c = np.zeros(n + 1, dtype=np.complex128)
-        if b == 0:
-            c[0] = a
-            c[1] = 1.0
-            return c
-        u = 1.0 / (1.0 - b * a)
-        c[0] = a * u
-        k = np.arange(1, n + 1)
-        c[1:] = b ** (k - 1) * u ** (k + 1)
+        c[0] = a
+        c[1] = 1.0
         return c
 
-    return rule
-
-
-def _sigma_coeffs(zeta: complex):
-    zb = np.conj(zeta)
-
-    def rule(a: complex, n: int) -> np.ndarray:
-        c = np.zeros(n + 1, dtype=np.complex128)
-        denom = 1.0 + zb * a
-        c[0] = (a + zeta) / denom
-        k = np.arange(1, n + 1)
-        # (-1)^(k+1) zb^(k-1): derivative chain of (1 - (1-|zeta|^2)/(1+zb w))/zb
-        c[1:] = (1.0 - abs(zeta) ** 2) * (-1.0) ** (k + 1) * zb ** (k - 1) / denom ** (k + 1)
-        return c
-
-    return rule
-
-
-def _cayley_coeffs(a: complex, n: int) -> np.ndarray:
-    k = np.arange(n + 1)
-    return (1.0 / (1.0 - a)) ** (k + 1)
-
-
-def _exp_scale_coeffs(kf: complex):
-    def rule(a: complex, n: int) -> np.ndarray:
-        j = np.arange(n + 1)
-        logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-        return np.exp(kf * a) * np.exp(j * np.log(complex(kf)) - logfact) if kf != 0 else _const_one(a, n)
-
-    return rule
-
-
-def _const_one(a: complex, n: int) -> np.ndarray:
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[0] = 1.0
-    return c
-
-
-def _quad_poly_coeffs(qa: complex):
-    def rule(a: complex, n: int) -> np.ndarray:
-        c = np.zeros(n + 1, dtype=np.complex128)
-        c[0] = a + qa * a * a
-        c[1] = 1.0 + 2.0 * qa * a
-        if n >= 2:
-            c[2] = qa
-        return c
-
-    return rule
-
-
-# --------------------------------------------------------------------------
-# entry constructors
-
-
-def _make_identity() -> CatalogFunction:
     return CatalogFunction(
         id="identity",
         params={},
         flags=CatalogFlags(True, True, False),
         note="f(z)=z maps D onto D; injective, complement of image has full measure",
-        _coeffs=_identity_coeffs,
+        _coeffs=coeffs,
         _f=lambda w: w,
         _df=lambda w: np.ones_like(w),
     )
 
 
-def _make_koebe() -> CatalogFunction:
+def _koebe() -> CatalogFunction:
     return CatalogFunction(
         id="koebe",
         params={},
@@ -231,111 +156,147 @@ def _make_koebe() -> CatalogFunction:
     )
 
 
-def _make_rotated_koebe(theta: float) -> CatalogFunction:
-    theta = float(theta)
-    u = complex(np.exp(1j * theta))
+def _rotated_koebe(theta=2.0) -> CatalogFunction:
+    theta = complex(theta)
+    if theta.imag != 0:
+        raise ValueError("rotated_koebe theta must be real")
+    theta = theta.real
+    u = np.exp(1j * theta)
+
+    def coeffs(a: complex, n: int) -> np.ndarray:
+        # z/(1-uz)^2 = (1/u) * koebe(uz); chain rule scales coefficient k by u^k
+        k = np.arange(n + 1)
+        return u ** (k - 1) * _koebe_coeffs_at(u * a, n)
+
     return CatalogFunction(
         id="rotated_koebe",
         params={"theta": theta},
         flags=CatalogFlags(True, True, True),
         note="z/(1-e^{i theta} z)^2 omits a rotated radial slit of measure zero",
-        _coeffs=_rotated_koebe_coeffs(theta),
+        _coeffs=coeffs,
         _f=lambda w: w / (1.0 - u * w) ** 2,
         _df=lambda w: (1.0 + u * w) / (1.0 - u * w) ** 3,
     )
 
 
-def _make_bounded(b: complex) -> CatalogFunction:
+def _bounded(b=1.0) -> CatalogFunction:
     b = complex(b)
     if abs(b) > 1.0 + 1e-15:
         raise ValueError(f"bounded map requires |b| <= 1, got |b|={abs(b):.6g}")
+
+    def coeffs(a: complex, n: int) -> np.ndarray:
+        c = np.zeros(n + 1, dtype=np.complex128)
+        u = 1.0 / (1.0 - b * a)
+        c[0] = a * u
+        k = np.arange(1, n + 1)
+        c[1:] = b ** (k - 1) * u ** (k + 1)
+        return c
+
     return CatalogFunction(
         id="bounded",
         params={"b": b},
         flags=CatalogFlags(True, True, False),
         note="z/(1-bz) is a Moebius map with pole 1/b outside D; image omits a set of positive measure",
-        _coeffs=_bounded_coeffs(b),
+        _coeffs=coeffs,
         _f=lambda w: w / (1.0 - b * w),
         _df=lambda w: 1.0 / (1.0 - b * w) ** 2,
     )
 
 
-def _make_sigma(zeta: complex) -> CatalogFunction:
+def _sigma(zeta=0.3) -> CatalogFunction:
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
         raise ValueError(f"disk automorphism requires |zeta| < 1, got {abs(zeta):.6g}")
     zb = np.conj(zeta)
+
+    def coeffs(a: complex, n: int) -> np.ndarray:
+        c = np.zeros(n + 1, dtype=np.complex128)
+        denom = 1.0 + zb * a
+        c[0] = (a + zeta) / denom
+        k = np.arange(1, n + 1)
+        # (-1)^(k+1) zb^(k-1): derivative chain of (1 - (1-|zeta|^2)/(1+zb w))/zb
+        c[1:] = (1.0 - abs(zeta) ** 2) * (-1.0) ** (k + 1) * zb ** (k - 1) / denom ** (k + 1)
+        return c
+
     return CatalogFunction(
         id="sigma",
         params={"zeta": zeta},
         flags=CatalogFlags(True, True, False),
         note="(w+zeta)/(1+conj(zeta)w) is a disk automorphism; image D is not full",
-        _coeffs=_sigma_coeffs(zeta),
+        _coeffs=coeffs,
         _f=lambda w: (w + zeta) / (1.0 + zb * w),
         _df=lambda w: (1.0 - abs(zeta) ** 2) / (1.0 + zb * w) ** 2,
     )
 
 
-def _make_cayley() -> CatalogFunction:
+def _cayley() -> CatalogFunction:
+    def coeffs(a: complex, n: int) -> np.ndarray:
+        return (1.0 / (1.0 - a)) ** (np.arange(n + 1) + 1)
+
     return CatalogFunction(
         id="cayley",
         params={},
         flags=CatalogFlags(True, True, False),
         note="1/(1-z) maps D onto the half-plane Re > 1/2; Moebius, not full",
-        _coeffs=_cayley_coeffs,
+        _coeffs=coeffs,
         _f=lambda w: 1.0 / (1.0 - w),
         _df=lambda w: 1.0 / (1.0 - w) ** 2,
     )
 
 
-def _make_exp_scale(k: complex) -> CatalogFunction:
+def _exp_scale(k=1.0) -> CatalogFunction:
     k = complex(k)
-    univalent = abs(k) <= math.pi + 1e-15
+    if k == 0:
+        raise ValueError("exp_scale requires k != 0: e^{0z} is constant, so f' vanishes on D")
+
+    def coeffs(a: complex, n: int) -> np.ndarray:
+        j = np.arange(n + 1)
+        logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+        return np.exp(k * a) * np.exp(j * np.log(k) - logfact)
+
     return CatalogFunction(
         id="exp_scale",
         params={"k": k},
-        flags=CatalogFlags(True, univalent, False),
+        flags=CatalogFlags(True, abs(k) <= math.pi + 1e-15, False),
         note="e^{kz}: derivative never vanishes; injective iff kD contains no pair differing by 2*pi*i, i.e. |k| <= pi",
-        _coeffs=_exp_scale_coeffs(k),
+        _coeffs=coeffs,
         _f=lambda w: np.exp(k * w),
         _df=lambda w: k * np.exp(k * w),
     )
 
 
-def _make_quad_poly(a: complex) -> CatalogFunction:
-    a = complex(a)
-    nice = abs(a) <= 0.5 + 1e-15
+def _quad_poly(a=0.4) -> CatalogFunction:
+    qa = complex(a)
+    nice = abs(qa) <= 0.5 + 1e-15
+
+    def coeffs(a: complex, n: int) -> np.ndarray:
+        c = np.zeros(n + 1, dtype=np.complex128)
+        c[0] = a + qa * a * a
+        c[1] = 1.0 + 2.0 * qa * a
+        if n >= 2:
+            c[2] = qa
+        return c
+
     return CatalogFunction(
         id="quad_poly",
-        params={"a": a},
+        params={"a": qa},
         flags=CatalogFlags(nice, nice, False),
         note="z+az^2: f' vanishes at -1/(2a), inside D iff |a|>1/2; univalent iff |a| <= 1/2 since z1+z2 = -1/a is impossible in D",
-        _coeffs=_quad_poly_coeffs(a),
-        _f=lambda w: w + a * w * w,
-        _df=lambda w: 1.0 + 2.0 * a * w,
+        _coeffs=coeffs,
+        _f=lambda w: w + qa * w * w,
+        _df=lambda w: 1.0 + 2.0 * qa * w,
     )
 
 
 _FACTORIES: dict[str, Callable[..., CatalogFunction]] = {
-    "identity": _make_identity,
-    "koebe": _make_koebe,
-    "rotated_koebe": _make_rotated_koebe,
-    "bounded": _make_bounded,
-    "sigma": _make_sigma,
-    "cayley": _make_cayley,
-    "exp_scale": _make_exp_scale,
-    "quad_poly": _make_quad_poly,
-}
-
-_DEFAULT_PARAMS: dict[str, dict] = {
-    "identity": {},
-    "koebe": {},
-    "rotated_koebe": {"theta": 2.0},
-    "bounded": {"b": 1.0},
-    "sigma": {"zeta": 0.3},
-    "cayley": {},
-    "exp_scale": {"k": 1.0},
-    "quad_poly": {"a": 0.4},
+    "identity": _identity,
+    "koebe": _koebe,
+    "rotated_koebe": _rotated_koebe,
+    "bounded": _bounded,
+    "sigma": _sigma,
+    "cayley": _cayley,
+    "exp_scale": _exp_scale,
+    "quad_poly": _quad_poly,
 }
 
 
@@ -344,17 +305,14 @@ def get(fn_id: str, **params) -> CatalogFunction:
     if fn_id not in _FACTORIES:
         known = ", ".join(sorted(_FACTORIES))
         raise ValueError(f"unknown catalog id {fn_id!r}; known ids: {known}")
-    merged = dict(_DEFAULT_PARAMS[fn_id])
+    make = _FACTORIES[fn_id]
+    allowed = inspect.signature(make).parameters
     for key, val in params.items():
-        if key not in merged:
+        if key not in allowed:
             raise ValueError(f"{fn_id} takes no parameter {key!r}")
-        merged[key] = val
-    if fn_id == "rotated_koebe":
-        theta = complex(merged["theta"])
-        if theta.imag != 0:
-            raise ValueError("rotated_koebe theta must be real")
-        merged["theta"] = theta.real
-    return _FACTORIES[fn_id](**merged)
+        if not cmath.isfinite(complex(val)):
+            raise ValueError(f"{fn_id} parameter {key} must be finite, got {val!r}")
+    return make(**params)
 
 
 def list_catalog() -> list[CatalogFunction]:

@@ -36,9 +36,16 @@ _MINIMUM = {
 #: count + 1 of them, so its count and the Grunsky sum's N stop at 4095.
 _ENGINE_MAXIMUM = (4096, "engine cost")
 
+#: the same cap for the counts read from a Taylor series about z (``series``, and
+#: ``sequence`` phi and Phi): its coefficients, and so the output, grow with the count
+_SERIES_MAXIMUM = (4096, "series length")
+
 #: largest accepted value of each integer flag, by subcommand or sequence kind, with
 #: the reason; ``bounds`` reads its left sides from series about z, which lose digits
 _MAXIMUM = {
+    ("series", "count"): _SERIES_MAXIMUM,
+    ("phi", "count"): _SERIES_MAXIMUM,
+    ("Phi", "count"): _SERIES_MAXIMUM,
     ("criterion", "N"): _ENGINE_MAXIMUM,
     ("scan", "N"): _ENGINE_MAXIMUM,
     ("Psi", "count"): (4095, "engine cost"),

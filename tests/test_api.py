@@ -39,6 +39,24 @@ DELETED = (
     "_grunsky_kernel",
     "_parse_mesh",
     "_MESH_MAXIMUM",
+    # each catalog family is one constructor
+    "_DEFAULT_PARAMS",
+    "_make_identity",
+    "_make_koebe",
+    "_make_rotated_koebe",
+    "_make_bounded",
+    "_make_sigma",
+    "_make_cayley",
+    "_make_exp_scale",
+    "_make_quad_poly",
+    "_identity_coeffs",
+    "_rotated_koebe_coeffs",
+    "_bounded_coeffs",
+    "_sigma_coeffs",
+    "_cayley_coeffs",
+    "_exp_scale_coeffs",
+    "_quad_poly_coeffs",
+    "_const_one",
 )
 
 PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")

@@ -25,9 +25,13 @@ def test_exp_scale_series():
     assert np.allclose(s.coeffs, [1, 4, 8], atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_center_outside_disk_rejected():
     with pytest.raises(ValueError):
         series_at(get("koebe"), 1.2, 4)
+    # a NaN center is refused as a center, not reported as an overflow
+    with pytest.raises(ValueError, match="outside the open unit disk"):
+        series_at(get("koebe"), complex("nan"), 4)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

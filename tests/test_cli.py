@@ -199,6 +199,13 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "identity", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
          "could not expand"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "nanx4"], 2, "--grid"),
+        # e^{0z} is constant, and no family takes a non-finite parameter
+        (["criterion", "--fn", "exp_scale:k=0", "--lambda", "0.5"], 2, "--fn"),
+        (["criterion", "--fn", "rotated_koebe:theta=1e999", "--lambda", "0.5", "--zeta", "0.3",
+          "--N", "8"], 2, "--fn"),
+        (["series", "--fn", "exp_scale:k=1e999"], 2, "--fn"),
+        (["series", "--fn", "identity", "--count", "4097"], 2, "--count"),
+        (["sequence", "--fn", "koebe", "--kind", "phi", "--count", "4097"], 2, "--count"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

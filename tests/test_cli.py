@@ -204,6 +204,7 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "rotated_koebe:theta=1e999", "--lambda", "0.5", "--zeta", "0.3",
           "--N", "8"], 2, "--fn"),
         (["series", "--fn", "exp_scale:k=1e999"], 2, "--fn"),
+        # the counts read from a series about z stop at 4096, as the engine's do
         (["series", "--fn", "identity", "--count", "4097"], 2, "--count"),
         (["sequence", "--fn", "koebe", "--kind", "phi", "--count", "4097"], 2, "--count"),
     ],

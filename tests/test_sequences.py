@@ -1,5 +1,7 @@
 """Coefficient sequences: closed forms, cross-route agreement, invariances."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,27 @@ def test_local_invariants_need_derivative():
     qp = get("quad_poly", a=0.6)
     with pytest.raises(NotLocallyUnivalentError):
         local_invariants(series_at(qp, -5.0 / 6.0, 4))
+
+
+# ----------------------------------------------------------- pinned values
+
+#: every catalog family at its default parameters
+PIN_SPECS = ("identity", "koebe", "rotated_koebe", "bounded", "sigma", "cayley", "exp_scale", "quad_poly")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phi_and_Phi_are_pinned_bit_for_bit():
+    # one digest of phi and Phi over every family, four centers and six counts
+    digest = hashlib.sha1()
+    for spec in PIN_SPECS:
+        fn = get(spec)
+        for center in (0.0, 0.3, -0.2 + 0.25j, 0.1 - 0.4j):
+            for count in (0, 1, 2, 8, 130, 300):
+                s = series_at(fn, center, count + 2)
+                digest.update(aharonov_phi(s, count).values.tobytes())
+                for lam in (0.3, 0.5, 1.0, 1.7):
+                    digest.update(phi_capital_direct(s, lam, count).values.tobytes())
+    assert digest.hexdigest() == "b3efbc6f5b80bc45f861be2adab0de671df689fb"
 
 
 # ----------------------------------------------------------- phi

@@ -21,36 +21,22 @@ __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 
-#: smallest accepted value of each integer flag, by subcommand
-_MINIMUM = {
-    ("series", "count"): 1,
-    ("sequence", "count"): 0,
-    ("criterion", "N"): 1,
-    ("scan", "N"): 1,
-    ("bounds", "N"): 1,
-    ("grunsky", "N"): 32,
-}
-
-#: one cap for every count of coefficients the recentering engine expands: past
-#: 1024 its samples, and so its time, grow with the count.  Psi_0..Psi_count takes
-#: count + 1 of them, so its count and the Grunsky sum's N stop at 4095.
-_ENGINE_MAXIMUM = (4096, "engine cost")
-
-#: the same cap for the counts read from a Taylor series about z (``series``, and
-#: ``sequence`` phi and Phi): its coefficients, and so the output, grow with the count
-_SERIES_MAXIMUM = (4096, "series length")
-
-#: largest accepted value of each integer flag, by subcommand or sequence kind, with
-#: the reason; ``bounds`` reads its left sides from series about z, which lose digits
-_MAXIMUM = {
-    ("series", "count"): _SERIES_MAXIMUM,
-    ("phi", "count"): _SERIES_MAXIMUM,
-    ("Phi", "count"): _SERIES_MAXIMUM,
-    ("criterion", "N"): _ENGINE_MAXIMUM,
-    ("scan", "N"): _ENGINE_MAXIMUM,
-    ("Psi", "count"): (4095, "engine cost"),
-    ("grunsky", "N"): (4095, "engine cost"),
-    ("bounds", "N"): (200, "left sides from series about z"),
+#: accepted range of each integer flag, by sequence kind or subcommand, with the reason
+#: for its cap.  The recentering engine's counts stop at 4096 ("engine cost"): past
+#: 1024 its samples, and so its time, grow with the count; Psi_0..Psi_count takes
+#: count + 1 of them, so its count and the Grunsky sum's N stop at 4095.  The counts
+#: read from a Taylor series about z stop there too ("series length"): its
+#: coefficients, and so the output, grow with the count.  ``bounds`` reads its left
+#: sides from series about z, which lose digits.
+_RANGE = {
+    ("series", "count"): (1, 4096, "series length"),
+    ("phi", "count"): (0, 4096, "series length"),
+    ("Phi", "count"): (0, 4096, "series length"),
+    ("Psi", "count"): (0, 4095, "engine cost"),
+    ("criterion", "N"): (1, 4096, "engine cost"),
+    ("scan", "N"): (1, 4096, "engine cost"),
+    ("bounds", "N"): (1, 200, "left sides from series about z"),
+    ("grunsky", "N"): (32, 4095, "engine cost"),
 }
 
 #: the subcommands whose --lambda is bounded by 1, and how: the area theorem and
@@ -182,12 +168,13 @@ def _check_flags(args) -> None:
         if hasattr(args, dest):
             setattr(args, dest, _parse_complex_flag(getattr(args, dest), f"--{dest}"))
     for dest in ("count", "N"):
-        value = getattr(args, dest, None)
-        low = _MINIMUM.get((args.command, dest))
-        if low is not None and value < low:
+        if (bounds := _RANGE.get((getattr(args, "kind", args.command), dest))) is None:
+            continue
+        low, high, reason = bounds
+        value = getattr(args, dest)
+        if value < low:
             raise ConfigError(f"--{dest}", f"must be >= {low}, got {value}")
-        high, reason = _MAXIMUM.get((getattr(args, "kind", args.command), dest), (None, None))
-        if high is not None and value > high:
+        if value > high:
             raise ConfigError(f"--{dest}", f"must be <= {high} ({reason}), got {value}")
     lam = getattr(args, "lam", None)
     if lam is None:

@@ -80,6 +80,8 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
     """
     if not 0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
+    if lam**2 == 0.0:  # below about 1.5e-162 the sum over lam^2 has no double value
+        raise ValueError(f"lam={lam!r} is too small: lam^2 underflows to 0")
     if not fn.flags.univalent_on_disk:
         raise ValueError(
             f"{fn.label} is not flagged univalent; the integrand would be "

@@ -20,8 +20,8 @@ import operator
 import numpy as np
 
 from .catalog import CatalogFunction
-from .errors import NotLocallyUnivalentError, UnivalenceError
-from .sequences import _DERIV_TOL
+from .errors import UnivalenceError
+from .sequences import _require_derivative
 
 __all__ = [
     "phi_capital_recentered",
@@ -80,18 +80,18 @@ def phi_capital_recentered(
     if not abs(zeta) < 1.0:
         raise ValueError("|zeta| must be < 1")
 
-    fz = complex(fn.f(zeta))
-    fpz = complex(fn.df(zeta))
-    if abs(fpz) <= _DERIV_TOL:
-        raise NotLocallyUnivalentError(f"f'(z)=0: not locally univalent at z={zeta}")
-    deriv0 = fpz * (1.0 - abs(zeta) ** 2)
-
     radii, samples = _sampling(count)
     last_reason = "no radius attempted"
-    for rho in radii:
-        out, last_reason = _expand(fn, zeta, fz, deriv0, lam, count, rho, samples)
-        if out is not None:
-            return out
+    # the samples of f, the power, the transform and the division by rho^n may leave
+    # the double range (an entry that overflows on the circle, an infinite lam, or
+    # rho^-n past a fallback radius); _expand refuses every non-finite result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fz = complex(fn.f(zeta))
+        deriv0 = _require_derivative(complex(fn.df(zeta)), zeta) * (1.0 - abs(zeta) ** 2)
+        for rho in radii:
+            out, last_reason = _expand(fn, zeta, fz, deriv0, lam, count, rho, samples)
+            if out is not None:
+                return out
 
     raise UnivalenceError(
         f"could not expand the recentered generating function at zeta={zeta}: {last_reason}"
@@ -144,11 +144,8 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     phase = loop[:-1]
     phase -= 2.0 * np.pi * np.round(np.mean(phase) / (2.0 * np.pi))
 
-    # the power, the transform and the division by rho^n may leave the double
-    # range (an infinite lam, or rho^-n past a fallback radius); that is refused below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        H = np.exp(lam * (np.log(np.abs(q)) + 1j * phase))
-        out = np.fft.fft(H)[: count + 1] / samples / rho ** np.arange(count + 1)
+    H = np.exp(lam * (np.log(np.abs(q)) + 1j * phase))
+    out = np.fft.fft(H)[: count + 1] / samples / rho ** np.arange(count + 1)
     if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
         return None, f"non-finite coefficients at rho={rho}"
     if not abs(out[0] - 1.0) <= 1e-8:

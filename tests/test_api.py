@@ -57,6 +57,12 @@ DELETED = (
     "_exp_scale_coeffs",
     "_quad_poly_coeffs",
     "_const_one",
+    # one derivative refusal, one range table for the integer flags
+    "_require_first_derivative",
+    "_MINIMUM",
+    "_MAXIMUM",
+    "_ENGINE_MAXIMUM",
+    "_SERIES_MAXIMUM",
 )
 
 PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")

@@ -207,6 +207,27 @@ def test_numeric_error_exit_code(capsys):
         # the counts read from a series about z stop at 4096, as the engine's do
         (["series", "--fn", "identity", "--count", "4097"], 2, "--count"),
         (["sequence", "--fn", "koebe", "--kind", "phi", "--count", "4097"], 2, "--count"),
+        # a series reciprocal or power that leaves the double range names its first bad index
+        (["sequence", "--fn", "koebe", "--kind", "Phi", "--lambda", "1e300", "--z", "0.3",
+          "--count", "8"], 1, "power lam=1e+300 of the series leaves the double range at index 2"),
+        (["sequence", "--fn", "koebe", "--kind", "Phi", "--lambda", "1e300", "--z", "0",
+          "--count", "8"], 1, "power lam=1e+300 of the series leaves the double range at index 2"),
+        (["sequence", "--fn", "quad_poly:a=0.6", "--kind", "phi", "--z=-0.8333333", "--count",
+          "64"], 1, "series reciprocal leaves the double range at index 43"),
+        (["bounds", "--fn", "quad_poly:a=0.5", "--lambda", "0.5", "--z=-0.9999999", "--N", "64"],
+         1, "series reciprocal leaves the double range at index"),
+        # an entry that overflows on the sampling circle is refused by the engine's checks
+        (["criterion", "--fn", "exp_scale:k=1000", "--lambda", "0.5", "--zeta", "0.3"], 1,
+         "non-finite samples"),
+        (["criterion", "--fn", "exp_scale:k=1e300", "--lambda", "0.5", "--zeta", "0"], 1,
+         "non-finite samples"),
+        (["sequence", "--fn", "exp_scale:k=1000", "--kind", "Psi", "--z", "0.3"], 1,
+         "non-finite samples"),
+        (["sequence", "--fn", "exp_scale:k=1e300", "--kind", "Psi", "--z", "0"], 1,
+         "non-finite samples"),
+        # below about 1.5e-162 lambda^2 underflows, and the area sum over it has no value
+        (["area", "--fn", "koebe", "--lambda", "1e-300", "--z", "0"], 1, "lam=1e-300"),
+        (["area", "--fn", "bounded:b=0.5", "--lambda", "1e-200"], 1, "lam=1e-200"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from univalence import sequences
 from univalence.catalog import get, list_catalog, series_at
 from univalence.errors import EnumerationLimitError, NotLocallyUnivalentError
 from univalence.oracles import check_phi_recurrence, phi_capital_combinatorial, psi_sequence
@@ -99,6 +100,22 @@ def test_phi_cayley_closed_form(z):
 def test_phi_order_requirement():
     with pytest.raises(ValueError):
         aharonov_phi(series_at(KOEBE, 0.0, 5), 4)
+
+
+@pytest.mark.parametrize("kind,routine", [("phi", "ps_recip"), ("Phi", "ps_pow_real")])
+def test_schwarzian_check_fires(monkeypatch, kind, routine):
+    # a first coefficient off its N_f identity is caught on the way out
+    exact = getattr(sequences, routine)
+
+    def perturbed(*args):
+        c = exact(*args).coeffs.copy()
+        c[1] += 1e-6
+        return PowerSeries(args[0].center, c)
+
+    monkeypatch.setattr(sequences, routine, perturbed)
+    s = series_at(KOEBE, 0.3, 10)
+    with pytest.raises(AssertionError, match=f"^{kind} sequence violates its Schwarzian identity"):
+        aharonov_phi(s, 8) if kind == "phi" else phi_capital_direct(s, 0.5, 8)
 
 
 def test_phi_rejects_critical_point():

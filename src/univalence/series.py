@@ -137,8 +137,8 @@ def ps_recip(a: PowerSeries) -> PowerSeries:
         )
     n = a.order
     b = np.zeros(n + 1, dtype=np.complex128)
-    b[0] = 1.0 / c[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        b[0] = 1.0 / c[0]
         for k in range(1, min(n, _BLOCK - 1) + 1):
             b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
         for s in range(_BLOCK, n + 1, _BLOCK):

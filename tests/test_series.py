@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from univalence.errors import CenterMismatchError, NonInvertibleSeriesError, NormalizationError
+from univalence.errors import (
+    CenterMismatchError,
+    NonInvertibleSeriesError,
+    NormalizationError,
+    SeriesOverflowError,
+)
 from univalence.oracles import ps_compose
 from univalence.series import (
     PowerSeries,
@@ -204,6 +209,17 @@ def test_pow_half_binomial_oracle():
 def test_pow_requires_unit_constant():
     with pytest.raises(NormalizationError):
         ps_pow_real(S([2, 1]), 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recip_and_pow_name_the_first_coefficient_out_of_range():
+    # 1/(1 - 2t) has coefficients 2^k, past the double range from k = 1024, in a block
+    with pytest.raises(SeriesOverflowError, match="series reciprocal leaves the double range at index 1024$"):
+        ps_recip(S([1.0] + [-2.0] + [0.0] * 1100))
+    with pytest.raises(SeriesOverflowError, match="at index 0$"):
+        ps_recip(S([1e-310, 1.0]))
+    with pytest.raises(SeriesOverflowError, match=r"power lam=1e\+300 of the series leaves the double range at index 2$"):
+        ps_pow_real(S([1.0, 1.0, 0.0]), 1e300)
 
 
 def _unit_series(seed, order):

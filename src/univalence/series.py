@@ -46,9 +46,6 @@ _UNIT_TOL = 1e-12
 #: coefficients per block of the reciprocal and real-power recurrences
 _BLOCK = 128
 
-#: _LAG[j, t] = j - t: the index k of c_k pairing b_{s+j} with b_{s+t} in a block, t < j
-_LAG = np.maximum(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)), 0)
-
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries:
@@ -106,12 +103,14 @@ def _check_centers(a: PowerSeries, b: PowerSeries) -> None:
         )
 
 
-def _finite(b: np.ndarray, what: str) -> np.ndarray:
-    """``b``, unless a coefficient left the double range (its loop ran under errstate)."""
+def _checked(center: complex, b: np.ndarray, lam: float | None = None) -> PowerSeries:
+    """The series of ``b``, unless its recurrence (run under errstate) left the double
+    range; the error names the first such index, and ``lam`` for a real power."""
     bad = np.flatnonzero(~(np.isfinite(b.real) & np.isfinite(b.imag)))
     if bad.size:
+        what = "series reciprocal" if lam is None else f"power lam={lam} of the series"
         raise SeriesOverflowError(f"{what} leaves the double range at index {bad[0]}")
-    return b
+    return PowerSeries(center, b)
 
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -122,6 +121,7 @@ def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(a.center, prod)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ps_recip(a: PowerSeries) -> PowerSeries:
     """Multiplicative inverse: ps_mul(a, ps_recip(a)) == [1, 0, ..., 0].
 
@@ -137,18 +137,17 @@ def ps_recip(a: PowerSeries) -> PowerSeries:
         )
     n = a.order
     b = np.zeros(n + 1, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b[0] = 1.0 / c[0]
-        for k in range(1, min(n, _BLOCK - 1) + 1):
-            b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
-        for s in range(_BLOCK, n + 1, _BLOCK):
-            e = min(s + _BLOCK, n + 1)
-            # hist[k - s] = sum_{i<s} c_{k-i} b_i; the block then solves the lower
-            # triangular Toeplitz system with first column c[:e-s], whose inverse
-            # has first column b[:e-s], already known because e - s <= s
-            hist = np.convolve(c[1:e], b[:s], "valid")
-            b[s:e] = -np.convolve(b[: e - s], hist)[: e - s]
-    return PowerSeries(a.center, _finite(b, "series reciprocal"))
+    b[0] = 1.0 / c[0]
+    for k in range(1, min(n, _BLOCK - 1) + 1):
+        b[k] = -np.dot(c[1 : k + 1], b[k - 1 :: -1]) / c[0]
+    for s in range(_BLOCK, n + 1, _BLOCK):
+        e = min(s + _BLOCK, n + 1)
+        # hist[k - s] = sum_{i<s} c_{k-i} b_i; the block then solves the lower
+        # triangular Toeplitz system with first column c[:e-s], whose inverse
+        # has first column b[:e-s], already known because e - s <= s
+        hist = np.convolve(c[1:e], b[:s], "valid")
+        b[s:e] = -np.convolve(b[: e - s], hist)[: e - s]
+    return _checked(a.center, b)
 
 
 def ps_derivative(a: PowerSeries) -> PowerSeries:
@@ -159,6 +158,7 @@ def ps_derivative(a: PowerSeries) -> PowerSeries:
     return PowerSeries(a.center, k * a.coeffs[1:])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ps_pow_real(a: PowerSeries, lam: float) -> PowerSeries:
     """Real power a**lam of a series with constant term 1.
 
@@ -176,22 +176,25 @@ def ps_pow_real(a: PowerSeries, lam: float) -> PowerSeries:
     b = np.zeros(n + 1, dtype=np.complex128)
     b[0] = 1.0
     ks = np.arange(n + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, min(n, _BLOCK - 1) + 1):
-            w = (lam + 1.0) * ks[1 : m + 1] - m
-            b[m] = np.dot(w * c[1 : m + 1], b[m - 1 :: -1]) / m
-        u = (lam + 1.0) * ks * c
-        for s in range(_BLOCK, n + 1, _BLOCK):
-            e = min(s + _BLOCK, n + 1)
-            # history: sum_{i<s} ((lam+1)(m-i) - m) c_{m-i} b_i for m in [s, e)
-            hist = np.convolve(u[1:e], b[:s], "valid") - ks[s:e] * np.convolve(c[1:e], b[:s], "valid")
-            # the 1/m of the recurrence is not Toeplitz, so the block stays a short loop
-            g = _LAG[: e - s, : e - s]
-            w = ((lam + 1.0) * g - ks[s:e, None]) * c[g]
-            x = b[s:e]
-            for j, h in enumerate(hist.tolist()):
-                x[j] = (h + np.dot(w[j, :j], x[:j])) / (s + j)
-    return PowerSeries(a.center, _finite(b, f"power lam={lam} of the series"))
+    for m in range(1, min(n, _BLOCK - 1) + 1):
+        w = (lam + 1.0) * ks[1 : m + 1] - m
+        b[m] = np.dot(w * c[1 : m + 1], b[m - 1 :: -1]) / m
+    if n < _BLOCK:
+        return _checked(a.center, b, lam)
+    u = (lam + 1.0) * ks * c
+    # lag[j, t] = j - t: the index k of c_k pairing b_{s+j} with b_{s+t}, t < j
+    lag = np.maximum(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)), 0)
+    for s in range(_BLOCK, n + 1, _BLOCK):
+        e = min(s + _BLOCK, n + 1)
+        # history: sum_{i<s} ((lam+1)(m-i) - m) c_{m-i} b_i for m in [s, e)
+        hist = np.convolve(u[1:e], b[:s], "valid") - ks[s:e] * np.convolve(c[1:e], b[:s], "valid")
+        # the 1/m of the recurrence is not Toeplitz, so the block stays a short loop
+        g = lag[: e - s, : e - s]
+        w = ((lam + 1.0) * g - ks[s:e, None]) * c[g]
+        x = b[s:e]
+        for j, h in enumerate(hist.tolist()):
+            x[j] = (h + np.dot(w[j, :j], x[:j])) / (s + j)
+    return _checked(a.center, b, lam)
 
 
 def ps_eval(a: PowerSeries, w: complex | np.ndarray) -> complex | np.ndarray:

@@ -106,10 +106,10 @@ def _check_centers(a: PowerSeries, b: PowerSeries) -> None:
 def _checked(center: complex, b: np.ndarray, lam: float | None = None) -> PowerSeries:
     """The series of ``b``, unless its recurrence (run under errstate) left the double
     range; the error names the first such index, and ``lam`` for a real power."""
-    bad = np.flatnonzero(~(np.isfinite(b.real) & np.isfinite(b.imag)))
-    if bad.size:
+    finite = np.isfinite(b)
+    if not finite.all():
         what = "series reciprocal" if lam is None else f"power lam={lam} of the series"
-        raise SeriesOverflowError(f"{what} leaves the double range at index {bad[0]}")
+        raise SeriesOverflowError(f"{what} leaves the double range at index {np.argmin(finite)}")
     return PowerSeries(center, b)
 
 

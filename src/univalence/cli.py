@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -70,6 +71,8 @@ def _render_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {_render_json(val, indent + 1)}" for val in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, complex):
+        return f'{{\n{pad}  "re": {_fmt(obj.real)},\n{pad}  "im": {_fmt(obj.imag)}\n{pad}}}'
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -79,19 +82,6 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot render {type(obj)}")
-
-
-def _cpx(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def _fields(row) -> dict:
-    """JSON object of a result row: one key per dataclass field, in field order."""
-    return {
-        f.name: _cpx(v) if isinstance(v := getattr(row, f.name), complex) else v
-        for f in dataclasses.fields(row)
-    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,12 +94,15 @@ class _Rows:
     start: int = 0
 
 
-def _csv_cells(obj: dict) -> list[tuple[str, object]]:
-    """(column, value) pairs of one CSV row; a complex {re, im} field gives two."""
+def _csv_cells(item) -> list[tuple[str, object]]:
+    """(column, value) pairs of one CSV row: a complex row gives columns re and im,
+    a dict row one column per key and two, name_re and name_im, per complex value."""
+    if isinstance(item, complex):
+        return [("re", item.real), ("im", item.imag)]
     cells = []
-    for name, value in obj.items():
-        if isinstance(value, dict):
-            cells.extend((f"{name}_{part}", v) for part, v in value.items())
+    for name, value in item.items():
+        if isinstance(value, complex):
+            cells += [(f"{name}_re", value.real), (f"{name}_im", value.imag)]
         else:
             cells.append((name, value))
     return cells
@@ -205,7 +198,10 @@ def _parse_grid(spec: str) -> list[complex]:
     return criteria.default_grid(radii=tuple(radii), angles=angles)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: ``parse_args`` leaves it
+    unchanged, and the usage width is read from COLUMNS when a message is printed."""
     parser = argparse.ArgumentParser(
         prog="univalence",
         description="Coefficient sequences, area sums and univalence "
@@ -272,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_series(args, fn):
     s = catalog.series_at(fn, args.z, args.count)
     body = {
-        "center": _cpx(s.center),
+        "center": s.center,
         "order": s.order,
-        "coeffs": [_cpx(c) for c in s.coeffs],
+        "coeffs": s.coeffs.tolist(),
     }
     return body, _Rows("coeffs", "k")
 
@@ -290,8 +286,8 @@ def _cmd_sequence(args, fn):
             values = sequences.phi_capital_direct(s, args.lam, args.count).values
     body = {
         "kind": args.kind,
-        "z": _cpx(args.z),
-        "values": [_cpx(v) for v in values],
+        "z": args.z,
+        "values": values.tolist(),
     }
     if args.kind == "Phi":
         body["lambda"] = args.lam
@@ -302,14 +298,14 @@ def _cmd_criterion(args, fn):
     rep = criteria.univalence_criterion(fn, args.lam, args.zeta, args.N, args.tol)
     body = {
         "lambda": rep.lam,
-        "zeta": _cpx(rep.zeta),
+        "zeta": rep.zeta,
         "N": rep.N,
         "T_N": rep.T_N,
         "budget": rep.budget,
         "margin": rep.margin,
         "sup_abs_term": rep.sup_abs_term,
         "verdict": rep.verdict,
-        "terms": [_cpx(a) for a in rep.terms],
+        "terms": rep.terms.tolist(),
     }
     return body, _Rows("terms", "n", start=1)
 
@@ -320,7 +316,7 @@ def _cmd_scan(args, fn):
         "lambda": res.lam,
         "N": res.N,
         "full_mapping_consistent": res.full_mapping_consistent,
-        "rows": [_fields(r) for r in res.rows],
+        "rows": [vars(r) for r in res.rows],
     }
     return body, _Rows("rows")
 
@@ -329,9 +325,9 @@ def _cmd_bounds(args, fn):
     rep = criteria.decay_bound_checks(fn, args.z, args.N, args.lam)
     body = {
         "lambda": rep.lam,
-        "z": _cpx(rep.z),
+        "z": rep.z,
         "worst_slack": rep.worst_slack,
-        "rows": [_fields(r) for r in rep.rows],
+        "rows": [vars(r) for r in rep.rows],
     }
     return body, _Rows("rows")
 
@@ -340,7 +336,7 @@ def _cmd_area(args, fn):
     res = quadrature.prawitz_integral(fn, args.lam, args.z)
     body = {
         "lambda": args.lam,
-        "z": _cpx(args.z),
+        "z": args.z,
         "value": res.value,
         "error_estimate": res.error_estimate,
         "budget": 1.0 / args.lam,
@@ -351,7 +347,7 @@ def _cmd_area(args, fn):
 def _cmd_grunsky(args, fn):
     norm, residual = quadrature._grunsky(fn, args.z, args.N)
     body = {
-        "z": _cpx(args.z),
+        "z": args.z,
         "N": args.N,
         "grunsky_norm": norm.value,
         "error_estimate": norm.error_estimate,

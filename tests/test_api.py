@@ -63,6 +63,9 @@ DELETED = (
     "_MAXIMUM",
     "_ENGINE_MAXIMUM",
     "_SERIES_MAXIMUM",
+    # payloads hold complex values, rendered as {re, im} by the JSON and CSV writers
+    "_cpx",
+    "_fields",
 )
 
 PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")

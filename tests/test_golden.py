@@ -18,7 +18,7 @@ import unittest.mock
 
 import pytest
 
-from univalence.cli import run
+from univalence.cli import _build_parser, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -121,6 +121,33 @@ def test_long_output_digest(name):
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
+
+
+# The parser is built once per process; these runs share it.
+
+
+def test_cached_parser_keeps_each_subcommand_default_format():
+    # scan defaults to CSV on its own subparser, criterion to JSON
+    for name in ("scan_csv", "criterion_json", "scan_csv"):
+        assert transcript(CASES[name]) == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_cached_parser_survives_an_argparse_refusal():
+    for name in ("error_mesh", "criterion_json"):
+        assert transcript(CASES[name]) == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_cached_parser_wraps_usage_at_the_width_of_each_run(monkeypatch):
+    _build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    _build_parser()
+    assert transcript(CASES["error_mesh"]) == (GOLDEN / "error_mesh.txt").read_text()
+    # a subcommand's usage line is longer than 80 columns: it wraps under COLUMNS=80 only
+    missing_kind = ["sequence", "--fn", "koebe"]
+    assert max(len(line) for line in transcript(missing_kind).splitlines()) <= 80
+    with contextlib.redirect_stderr(err := io.StringIO()), pytest.raises(SystemExit):
+        run(missing_kind)
+    assert len(err.getvalue().splitlines()[0]) > 80
 
 
 if __name__ == "__main__":

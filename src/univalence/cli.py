@@ -22,11 +22,12 @@ __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 
-#: accepted range of each integer flag, by sequence kind or subcommand, with the reason
-#: for its cap.  The recentering engine's counts stop at 4096 ("engine cost"): past
-#: 1024 its samples, and so its time, grow with the count; Psi_0..Psi_count takes
-#: count + 1 of them, so its count and the Grunsky sum's N stop at 4095.  The counts
-#: read from a Taylor series about z stop there too ("series length"): its
+#: accepted range of each integer flag, by sequence kind or subcommand, and of the
+#: number of ``scan --grid`` points, with the reason for its cap.  The recentering
+#: engine's counts stop at 4096 ("engine cost"): past 1024 its samples, and so its
+#: time, grow with the count; Psi_0..Psi_count takes count + 1 of them, so its count
+#: and the Grunsky sum's N stop at 4095.  A scan makes one engine call per point.  The
+#: counts read from a Taylor series about z stop at 4096 too ("series length"): its
 #: coefficients, and so the output, grow with the count.  ``bounds`` reads its left
 #: sides from series about z, which lose digits.
 _RANGE = {
@@ -36,6 +37,7 @@ _RANGE = {
     ("Psi", "count"): (0, 4095, "engine cost"),
     ("criterion", "N"): (1, 4096, "engine cost"),
     ("scan", "N"): (1, 4096, "engine cost"),
+    ("scan", "grid"): (1, 4096, "engine cost"),
     ("bounds", "N"): (1, 200, "left sides from series about z"),
     ("grunsky", "N"): (32, 4095, "engine cost"),
 }
@@ -135,8 +137,11 @@ def _emit(args, payload: dict, table) -> None:
     else:
         text = _render_json(payload) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -195,6 +200,11 @@ def _parse_grid(spec: str) -> list[complex]:
         raise ConfigError("--grid", str(exc)) from exc
     if not all(0 <= r < 1 for r in radii) or angles < 1:
         raise ConfigError("--grid", "radii must lie in [0,1) and angle count >= 1")
+    # radius zero is one point, every other radius one per angle
+    points = sum(1 if r == 0 else angles for r in radii)
+    _, high, reason = _RANGE[("scan", "grid")]
+    if points > high:
+        raise ConfigError("--grid", f"must have <= {high} points ({reason}), got {points}")
     return criteria.default_grid(radii=tuple(radii), angles=angles)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import univalence
-from univalence.cli import run
+from univalence.cli import _parse_grid, run
+from univalence.errors import ConfigError
 
 
 def _capture(capsys, argv):
@@ -228,6 +229,9 @@ def test_numeric_error_exit_code(capsys):
         # below about 1.5e-162 lambda^2 underflows, and the area sum over it has no value
         (["area", "--fn", "koebe", "--lambda", "1e-300", "--z", "0"], 1, "lam=1e-300"),
         (["area", "--fn", "bounded:b=0.5", "--lambda", "1e-200"], 1, "lam=1e-200"),
+        # a scan makes one engine call per point
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "0.5x5000", "--N", "1"], 2,
+         "--grid: must have <= 4096 points (engine cost), got 5000"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -281,6 +285,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(path.read_text())
     assert payload["T_N"] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec,points", [("0.5x4096", 4096), ("0,0.5x4095", 4096),
+                                         ("0,0,0.5,0.6x2047", 4096)])
+def test_grid_point_cap_boundary(spec, points):
+    assert len(_parse_grid(spec)) == points
+
+
+@pytest.mark.parametrize("spec", ["0.5x4097", "0,0.5x4096", "0.1,0.2x2049", "0.5x5000"])
+def test_grid_point_cap_refusal(spec):
+    with pytest.raises(ConfigError, match="--grid: must have <= 4096 points"):
+        _parse_grid(spec)
+
+
+@pytest.mark.parametrize("target", ["", "missing/x.json"], ids=["directory", "missing_parent"])
+def test_out_path_that_cannot_be_written_is_a_config_error(tmp_path, target):
+    proc = _run_module("criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "4",
+                       "--out", str(tmp_path / target))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("config error: --out: cannot write")
+    assert "Traceback" not in proc.stderr
 
 
 def test_selftest_passes(capsys):

@@ -21,15 +21,11 @@ from .criteria import (
     univalence_criterion,
 )
 from .errors import (
-    CenterMismatchError,
     ConfigError,
-    EnumerationLimitError,
     NonInvertibleSeriesError,
     NormalizationError,
     NotLocallyUnivalentError,
-    QuadratureError,
     SeriesOverflowError,
-    SingularSampleError,
     UnivalenceError,
 )
 from .quadrature import (
@@ -46,15 +42,7 @@ from .sequences import (
     local_invariants,
     phi_capital_direct,
 )
-from .series import (
-    PowerSeries,
-    gen_binomial,
-    ps_derivative,
-    ps_eval,
-    ps_mul,
-    ps_pow_real,
-    ps_recip,
-)
+from .series import PowerSeries, ps_eval, ps_pow_real, ps_recip
 from .transforms import phi_capital_recentered, psi_via_transform
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types raised by the product routes.
 
 Every numerical refusal carries its analytic meaning in the message, so the
 CLI can surface "why" (for example a vanishing derivative) instead of a bare
@@ -10,10 +10,6 @@ from __future__ import annotations
 
 class UnivalenceError(Exception):
     """Base class for all library-specific errors."""
-
-
-class CenterMismatchError(UnivalenceError, ValueError):
-    """Two series expanded about different points were combined."""
 
 
 class NonInvertibleSeriesError(UnivalenceError, ValueError):
@@ -33,20 +29,8 @@ class NotLocallyUnivalentError(UnivalenceError, ValueError):
     """f'(z) = 0 at the requested point; coefficient sequences are undefined there."""
 
 
-class EnumerationLimitError(UnivalenceError, ValueError):
-    """Combinatorial enumeration requested beyond the supported index range."""
-
-
 class SeriesOverflowError(UnivalenceError, ArithmeticError):
     """A closed-form expansion leaves the double range before the requested order."""
-
-
-class QuadratureError(UnivalenceError, ArithmeticError):
-    """Disk integration could not be carried out safely."""
-
-
-class SingularSampleError(QuadratureError):
-    """An integrand sample was non-finite at a quadrature node."""
 
 
 class ConfigError(UnivalenceError, ValueError):

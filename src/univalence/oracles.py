@@ -6,7 +6,9 @@ double-binomial sums, tuple enumeration over weak compositions, truncated
 series composition and a finite-difference recurrence.  They exist so the
 acceptance suite and the tests can check the printed identities against the
 production routes.  Most cancel catastrophically beyond a dozen or so terms
-at moderate |z|, so nothing in the product path imports this module.
+at moderate |z|, so nothing in the product path imports this module.  The
+series product, derivative and generalized binomials live here too, since only
+these routes use them, and so do the exceptions that only these routes raise.
 
 The weighted area integral and the Grunsky norm are here as the disk
 integrals their definitions print, on a graded polar quadrature about z:
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
-from .errors import EnumerationLimitError, QuadratureError, SingularSampleError
+from .errors import UnivalenceError
 from .quadrature import (
     _SERIES_ORDER,
     QuadratureResult,
@@ -43,19 +45,16 @@ from .quadrature import (
     grunsky_kernel_point,
 )
 from .sequences import SequenceSet, _normalized_quotient, aharonov_phi, phi_capital_direct
-from .series import (
-    PowerSeries,
-    _common_order,
-    gen_binomial,
-    ps_derivative,
-    ps_eval,
-    ps_mul,
-    ps_pow_real,
-    ps_recip,
-)
+from .series import PowerSeries, ps_eval, ps_pow_real, ps_recip
 from .transforms import psi_via_transform
 
 __all__ = [
+    "EnumerationLimitError",
+    "QuadratureError",
+    "SingularSampleError",
+    "gen_binomial",
+    "ps_mul",
+    "ps_derivative",
     "ps_compose",
     "compose_with_automorphism",
     "lemma2_coefficients",
@@ -74,6 +73,52 @@ __all__ = [
 _ENUM_LIMIT = 12
 
 
+class EnumerationLimitError(UnivalenceError, ValueError):
+    """Combinatorial enumeration requested beyond the supported index range."""
+
+
+class QuadratureError(UnivalenceError, ArithmeticError):
+    """Disk integration could not be carried out safely."""
+
+
+class SingularSampleError(QuadratureError):
+    """An integrand sample was non-finite at a quadrature node."""
+
+
+# --------------------------------------------------------------------------
+# series product, derivative and generalized binomials
+
+
+def gen_binomial(alpha: float, m: int) -> float:
+    """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-m+1)/m!.
+
+    Defined for real ``alpha`` and integer ``m >= 0``; equals 1 at m = 0 and
+    vanishes exactly when the falling factorial crosses zero (integer
+    ``alpha`` with 0 <= alpha < m).
+    """
+    if m < 0:
+        raise ValueError("m must be a non-negative integer")
+    out = 1.0
+    for i in range(m):
+        out *= (alpha - i) / (i + 1)
+    return out
+
+
+def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Cauchy product truncated at min(a.order, b.order); both share one center."""
+    n = min(a.order, b.order)
+    prod = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])[: n + 1]
+    return PowerSeries(a.center, prod)
+
+
+def ps_derivative(a: PowerSeries) -> PowerSeries:
+    """Termwise derivative; the order drops by one."""
+    if a.order < 1:
+        raise ValueError("derivative needs order >= 1")
+    k = np.arange(1, a.order + 1)
+    return PowerSeries(a.center, k * a.coeffs[1:])
+
+
 # --------------------------------------------------------------------------
 # truncated-series composition and automorphism pullbacks
 
@@ -89,7 +134,7 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         raise ValueError(
             f"inner series must have zero constant term, got {inner.coeffs[0]}"
         )
-    n = _common_order(outer, inner)
+    n = min(outer.order, inner.order)
     inner_t = PowerSeries(inner.center, inner.coeffs[: n + 1])
     seed = np.zeros(n + 1, dtype=np.complex128)
     seed[0] = outer.coeffs[n]

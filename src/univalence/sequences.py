@@ -149,7 +149,7 @@ def aharonov_phi(f_series: PowerSeries, count: int) -> SequenceSet:
 
 def phi_capital_direct(f_series: PowerSeries, lam: float, count: int) -> SequenceSet:
     """Phi_{lam,0}..Phi_{lam,count} as the lam-th power of the reciprocal quotient."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     p = ps_pow_real(_reciprocal_quotient(f_series, count), lam)
     values = p.coeffs[: count + 1].copy()

@@ -2,10 +2,10 @@
 
 A :class:`PowerSeries` stores the Taylor coefficients c_0..c_N of an analytic
 function about a fixed center, representing sum_k c_k (w - z0)^k.  All
-operations are pure functions of immutable inputs and truncate at the order
-of their shortest operand.  Coefficients are double-precision complex; the
-recurrences below are exact given exact inputs, so closed-form input series
-keep near machine accuracy through reciprocal and powers.
+operations are pure functions of immutable inputs and keep the order of their
+input.  Coefficients are double-precision complex; the recurrences below are
+exact given exact inputs, so closed-form input series keep near machine
+accuracy through reciprocal and powers.
 
 The reciprocal and real-power recurrences are evaluated in blocks of
 ``_BLOCK`` coefficients.  The first block, indices below ``_BLOCK``, is the
@@ -23,22 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CenterMismatchError,
-    NonInvertibleSeriesError,
-    NormalizationError,
-    SeriesOverflowError,
-)
+from .errors import NonInvertibleSeriesError, NormalizationError, SeriesOverflowError
 
-__all__ = [
-    "PowerSeries",
-    "gen_binomial",
-    "ps_mul",
-    "ps_recip",
-    "ps_derivative",
-    "ps_pow_real",
-    "ps_eval",
-]
+__all__ = ["PowerSeries", "ps_recip", "ps_pow_real", "ps_eval"]
 
 #: constant-term tolerance for normalized bases (`ps_pow_real`)
 _UNIT_TOL = 1e-12
@@ -75,34 +62,6 @@ class PowerSeries:
         return f"PowerSeries(center={self.center:.6g}, order={self.order}, [{head}{tail}])"
 
 
-def gen_binomial(alpha: float, m: int) -> float:
-    """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-m+1)/m!.
-
-    Defined for real ``alpha`` and integer ``m >= 0``; equals 1 at m = 0 and
-    vanishes exactly when the falling factorial crosses zero (integer
-    ``alpha`` with 0 <= alpha < m).
-    """
-    if m < 0:
-        raise ValueError("m must be a non-negative integer")
-    if m == 0:
-        return 1.0
-    out = 1.0
-    for i in range(m):
-        out *= (alpha - i) / (i + 1)
-    return out
-
-
-def _common_order(a: PowerSeries, b: PowerSeries) -> int:
-    return min(a.order, b.order)
-
-
-def _check_centers(a: PowerSeries, b: PowerSeries) -> None:
-    if a.center != b.center:
-        raise CenterMismatchError(
-            f"series centers differ: {a.center} vs {b.center}"
-        )
-
-
 def _checked(center: complex, b: np.ndarray, lam: float | None = None) -> PowerSeries:
     """The series of ``b``, unless its recurrence (run under errstate) left the double
     range; the error names the first such index, and ``lam`` for a real power."""
@@ -113,17 +72,9 @@ def _checked(center: complex, b: np.ndarray, lam: float | None = None) -> PowerS
     return PowerSeries(center, b)
 
 
-def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at min(a.order, b.order)."""
-    _check_centers(a, b)
-    n = _common_order(a, b)
-    prod = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])[: n + 1]
-    return PowerSeries(a.center, prod)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def ps_recip(a: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse: ps_mul(a, ps_recip(a)) == [1, 0, ..., 0].
+    """Multiplicative inverse: the Cauchy product of ``a`` and ps_recip(a) is [1, 0, ..., 0].
 
     Raises :class:`NonInvertibleSeriesError` when the constant term vanishes
     (for difference-quotient series this means f'(z) = 0 at the center), and
@@ -148,14 +99,6 @@ def ps_recip(a: PowerSeries) -> PowerSeries:
         hist = np.convolve(c[1:e], b[:s], "valid")
         b[s:e] = -np.convolve(b[: e - s], hist)[: e - s]
     return _checked(a.center, b)
-
-
-def ps_derivative(a: PowerSeries) -> PowerSeries:
-    """Termwise derivative; the order drops by one."""
-    if a.order < 1:
-        raise ValueError("derivative needs order >= 1")
-    k = np.arange(1, a.order + 1)
-    return PowerSeries(a.center, k * a.coeffs[1:])
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -161,5 +161,7 @@ def psi_via_transform(fn: CatalogFunction, z: complex, count: int) -> np.ndarray
     the recentered expansion at lam = 1; this avoids the heavy cancellation of
     the direct binomial convolution for large n.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     A = phi_capital_recentered(fn, z, 1.0, count + 1)
     return A[1:].copy()

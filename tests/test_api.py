@@ -25,6 +25,13 @@ MOVED = (
     "_pullback_kernel_series",
     "_polar_rule",
     "_gauss_legendre",
+    # series helpers and exceptions that only the reference routes use
+    "gen_binomial",
+    "ps_mul",
+    "ps_derivative",
+    "EnumerationLimitError",
+    "QuadratureError",
+    "SingularSampleError",
 )
 
 #: duplicate routes and helpers that no longer exist
@@ -66,9 +73,13 @@ DELETED = (
     # payloads hold complex values, rendered as {re, im} by the JSON and CSV writers
     "_cpx",
     "_fields",
+    # every series product is taken about one center
+    "CenterMismatchError",
+    "_check_centers",
+    "_common_order",
 )
 
-PRODUCT_MODULES = ("series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")
+PRODUCT_MODULES = ("errors", "series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")
 
 SRC = pathlib.Path(univalence.__file__).parent
 
@@ -84,6 +95,20 @@ def test_reference_routes_defined_in_oracles():
     for name in MOVED:
         assert getattr(oracles, name).__module__ == "univalence.oracles"
     assert [name for name in DELETED if hasattr(oracles, name)] == []
+
+
+def test_series_and_errors_hold_only_product_names():
+    series = importlib.import_module("univalence.series")
+    errors = importlib.import_module("univalence.errors")
+    assert series.__all__ == ["PowerSeries", "ps_recip", "ps_pow_real", "ps_eval"]
+    assert [name for name, obj in vars(errors).items() if isinstance(obj, type)] == [
+        "UnivalenceError",
+        "NonInvertibleSeriesError",
+        "NormalizationError",
+        "NotLocallyUnivalentError",
+        "SeriesOverflowError",
+        "ConfigError",
+    ]
 
 
 def _imports_oracles(node) -> bool:

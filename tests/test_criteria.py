@@ -15,9 +15,8 @@ from univalence.criteria import (
     univalence_criterion,
 )
 from univalence.errors import NormalizationError, NotLocallyUnivalentError, UnivalenceError
-from univalence.oracles import criterion_terms
+from univalence.oracles import criterion_terms, gen_binomial
 from univalence.sequences import phi_capital_direct
-from univalence.series import gen_binomial
 from univalence.transforms import phi_capital_recentered, psi_via_transform
 
 KOEBE = get("koebe")

@@ -11,8 +11,7 @@ import pytest
 from univalence import criteria, oracles
 from univalence.catalog import from_spec, get, list_catalog
 from univalence.cli import run
-from univalence.errors import SingularSampleError
-from univalence.oracles import MeshSpec, integrate_disk, quadrature_area_integral
+from univalence.oracles import MeshSpec, SingularSampleError, integrate_disk, quadrature_area_integral
 from univalence.quadrature import (
     QuadratureResult,
     grunsky_kernel_point,

@@ -7,10 +7,17 @@ import pytest
 
 from univalence import sequences
 from univalence.catalog import get, list_catalog, series_at
-from univalence.errors import EnumerationLimitError, NotLocallyUnivalentError
-from univalence.oracles import check_phi_recurrence, phi_capital_combinatorial, psi_sequence
+from univalence.errors import NotLocallyUnivalentError
+from univalence.oracles import (
+    EnumerationLimitError,
+    check_phi_recurrence,
+    gen_binomial,
+    phi_capital_combinatorial,
+    ps_mul,
+    psi_sequence,
+)
 from univalence.sequences import SequenceSet, aharonov_phi, local_invariants, phi_capital_direct
-from univalence.series import PowerSeries, gen_binomial, ps_mul, ps_recip
+from univalence.series import PowerSeries, ps_recip
 from univalence.transforms import psi_via_transform
 
 KOEBE = get("koebe")
@@ -100,6 +107,13 @@ def test_phi_cayley_closed_form(z):
 def test_phi_order_requirement():
     with pytest.raises(ValueError):
         aharonov_phi(series_at(KOEBE, 0.0, 5), 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_Phi_direct_refuses_nan_lambda():
+    # the engine's `not lam > 0` test, before any recurrence runs
+    with pytest.raises(ValueError, match="lam must be positive"):
+        phi_capital_direct(series_at(KOEBE, 0.3, 10), float("nan"), 8)
 
 
 @pytest.mark.parametrize("kind,routine", [("phi", "ps_recip"), ("Phi", "ps_pow_real")])

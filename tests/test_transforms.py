@@ -8,8 +8,8 @@ import pytest
 from univalence.catalog import from_spec, get, list_catalog, series_at
 from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
-from univalence.series import gen_binomial, ps_eval
-from univalence.oracles import compose_with_automorphism, lemma2_coefficients
+from univalence.series import ps_eval
+from univalence.oracles import compose_with_automorphism, gen_binomial, lemma2_coefficients
 from univalence import transforms
 from univalence.transforms import phi_capital_recentered
 
@@ -309,6 +309,12 @@ def test_expansion_evaluates_f_once_per_radius(spec, zeta, radii):
 def test_recentered_engine_refuses_before_sampling(lam, zeta, count, error, match):
     with pytest.raises(error, match=match):
         phi_capital_recentered(KOEBE, zeta, lam, count)
+
+
+def test_psi_via_transform_refuses_negative_count():
+    # count -1 would reach the engine as count 0 and come back as an empty array
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        transforms.psi_via_transform(KOEBE, 0.3, -1)
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.3])

@@ -136,7 +136,7 @@ def _emit(args, payload: dict, table) -> None:
         text = _render_csv(payload, table)
     else:
         text = _render_json(payload) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -200,6 +200,8 @@ def _parse_grid(spec: str) -> list[complex]:
         raise ConfigError("--grid", str(exc)) from exc
     if not all(0 <= r < 1 for r in radii) or angles < 1:
         raise ConfigError("--grid", "radii must lie in [0,1) and angle count >= 1")
+    if len(set(radii)) < len(radii):
+        raise ConfigError("--grid", f"radii must be distinct, got {radii_part!r}")
     # radius zero is one point, every other radius one per angle
     points = sum(1 if r == 0 else angles for r in radii)
     _, high, reason = _RANGE[("scan", "grid")]
@@ -397,10 +399,7 @@ def run(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except UnivalenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UnivalenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -232,6 +232,14 @@ def test_numeric_error_exit_code(capsys):
         # a scan makes one engine call per point
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "0.5x5000", "--N", "1"], 2,
          "--grid: must have <= 4096 points (engine cost), got 5000"),
+        # a repeated radius would repeat its probe points
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "0,0,0.5x4"], 2,
+         "--grid: radii must be distinct"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "0.5,0.5x4"], 2,
+         "--grid: radii must be distinct"),
+        # an empty path is a path that cannot be written, not stdout
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "1", "--out", ""], 2,
+         "--out: cannot write ''"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -288,7 +296,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec,points", [("0.5x4096", 4096), ("0,0.5x4095", 4096),
-                                         ("0,0,0.5,0.6x2047", 4096)])
+                                         ("0,0.2,0.4,0.6x1365", 4096)])
 def test_grid_point_cap_boundary(spec, points):
     assert len(_parse_grid(spec)) == points
 
@@ -314,6 +322,16 @@ def test_selftest_passes(capsys):
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_selftest_fails_on_a_failing_check(capsys, monkeypatch):
+    from univalence import acceptance
+
+    failing = ("0", lambda: acceptance.AcceptanceResult("always-fails", False, "forced"))
+    monkeypatch.setattr(acceptance, "CHECKS", (failing,))
+    code, out, _ = _capture(capsys, ["selftest"])
+    assert code == 1
+    assert "FAIL [0] always-fails: forced" in out
 
 
 def _run_module(*argv):

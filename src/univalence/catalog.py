@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SeriesOverflowError
+from .errors import SeriesOverflowError
 from .series import PowerSeries
 
 __all__ = [
@@ -335,20 +335,13 @@ def parse_complex(text: str) -> complex:
 
 
 def from_spec(spec: str) -> CatalogFunction:
-    """Build an entry from a CLI spec string like 'exp_scale:k=4'."""
+    """Build an entry from a spec string like 'exp_scale:k=4'."""
     name, _, paramstr = spec.partition(":")
-    name = name.strip()
     params = {}
     if paramstr:
         for item in paramstr.split(","):
             key, eq, val = item.partition("=")
             if not eq:
-                raise ConfigError("--fn", f"malformed parameter {item!r} in {spec!r}")
-            try:
-                params[key.strip()] = parse_complex(val)
-            except ValueError as exc:
-                raise ConfigError("--fn", str(exc)) from exc
-    try:
-        return get(name, **params)
-    except ValueError as exc:
-        raise ConfigError("--fn", str(exc)) from exc
+                raise ValueError(f"malformed parameter {item!r} in {spec!r}")
+            params[key.strip()] = parse_complex(val)
+    return get(name.strip(), **params)

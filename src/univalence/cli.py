@@ -4,7 +4,8 @@ Output is deterministic for a fixed configuration: stable field order, floats
 rendered with 17 significant digits, complex numbers as {re, im} pairs.
 Each subcommand builds one JSON payload; its CSV table is derived from that
 payload.  Exit codes: 0 success, 1 numeric failure (with its analytic meaning in the
-message), 2 configuration error naming the offending flag.
+message), 2 configuration error naming the offending flag, 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 
 from . import catalog, criteria, quadrature, sequences, transforms
@@ -26,10 +28,12 @@ SCHEMA_VERSION = 1
 #: number of ``scan --grid`` points, with the reason for its cap.  The recentering
 #: engine's counts stop at 4096 ("engine cost"): past 1024 its samples, and so its
 #: time, grow with the count; Psi_0..Psi_count takes count + 1 of them, so its count
-#: and the Grunsky sum's N stop at 4095.  A scan makes one engine call per point.  The
-#: counts read from a Taylor series about z stop at 4096 too ("series length"): its
-#: coefficients, and so the output, grow with the count.  ``bounds`` reads its left
-#: sides from series about z, which lose digits.
+#: stops at 4095.  A scan makes one engine call per point.  The Grunsky sum always
+#: reads one expansion of 4096 coefficients, and N only picks its partial sum to
+#: n = N, so N stops at the sum's truncation n = 4095.  The counts read from a
+#: Taylor series about z stop at 4096 too ("series length"): its coefficients, and
+#: so the output, grow with the count.  ``bounds`` reads its left sides from series
+#: about z, which lose digits.
 _RANGE = {
     ("series", "count"): (1, 4096, "series length"),
     ("phi", "count"): (0, 4096, "series length"),
@@ -39,7 +43,7 @@ _RANGE = {
     ("scan", "N"): (1, 4096, "engine cost"),
     ("scan", "grid"): (1, 4096, "engine cost"),
     ("bounds", "N"): (1, 200, "left sides from series about z"),
-    ("grunsky", "N"): (32, 4095, "engine cost"),
+    ("grunsky", "N"): (32, quadrature._COUNT - 1, "truncation of the Grunsky sum"),
 }
 
 #: the subcommands whose --lambda is bounded by 1, and how: the area theorem and
@@ -390,7 +394,10 @@ def run(argv: list[str] | None = None) -> int:
             results = acceptance.run_all()
             return 0 if all(r.passed for r in results) else 1
         _check_flags(args)
-        fn = catalog.from_spec(args.fn)
+        try:
+            fn = catalog.from_spec(args.fn)
+        except ValueError as exc:
+            raise ConfigError("--fn", str(exc)) from exc
         body, table = _DISPATCH[args.command](args, fn)
         payload = {"schema": SCHEMA_VERSION, "command": args.command, "fn": fn.label}
         payload.update(body)
@@ -405,7 +412,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    # a reader that closed stdout early gets no traceback; see the note on SIGPIPE
+    # in the documentation of Python's signal module
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what remains buffered is flushed at exit, into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as the shell reports a process that SIGPIPE ends
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
@@ -59,6 +60,7 @@ __all__ = [
     "compose_with_automorphism",
     "lemma2_coefficients",
     "criterion_terms",
+    "exact_quad_poly_sum",
     "phi_capital_combinatorial",
     "check_phi_recurrence",
     "psi_sequence",
@@ -248,6 +250,23 @@ def criterion_terms(
     zeta = complex(zeta)
     Phi = phi_capital_direct(series_at(fn, zeta, N + 2), lam, N)
     return lemma2_coefficients(Phi, zeta, 0.0, N)[1:]
+
+
+def exact_quad_poly_sum(a, zeta, N: int) -> Fraction:
+    """T_N = sum_{n<=N} (n - 1/2) A_n^2 at lam = 1/2 for quad_poly with real
+    rational ``a`` and ``zeta``, exactly.
+
+    Pulled back by sigma_zeta, f(w) = w + a w^2 has
+    q(w) = (1 + zeta w)^2 / (1 + c w) with c = (a + zeta + a zeta^2)/(1 + 2 a zeta),
+    so q^(1/2) = (1 + zeta w)(1 + c w)^(-1/2) and A_n = v_n + zeta v_(n-1) with
+    v_n = binom(-1/2, n) c^n, all real.
+    """
+    a, zeta = Fraction(a), Fraction(zeta)
+    c = (a + zeta + a * zeta**2) / (1 + 2 * a * zeta)
+    v = [Fraction(1)]
+    for n in range(1, N + 1):
+        v.append(v[-1] * (Fraction(1, 2) - n) / n * c)
+    return sum((n - Fraction(1, 2)) * (v[n] + zeta * v[n - 1]) ** 2 for n in range(1, N + 1))
 
 
 # --------------------------------------------------------------------------
@@ -584,10 +603,9 @@ def quadrature_grunsky_norm(
         raise ValueError("|z| must be < 1")
     if mesh is None:
         mesh = MeshSpec(center=z)
-    delta = _default_delta(z)
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        return np.abs(grunsky_kernel_point(fn, z, w, delta)) ** 2
+        return np.abs(grunsky_kernel_point(fn, z, w)) ** 2
 
     raw = integrate_disk(integrand, mesh)
     value = math.sqrt(max(raw.value, 0.0))

@@ -13,7 +13,7 @@ capped by the univalent budget.  The disk quadratures of both quantities are
 test oracles in :mod:`univalence.oracles`.
 
 The Grunsky kernel U(f;z,w) is evaluated pointwise: from its closed form away
-from w = z and from a truncated series in w - z within a small radius delta.
+from w = z and from a truncated series in w - z within 0.15 (1-|z|) of it.
 """
 
 from __future__ import annotations
@@ -110,23 +110,16 @@ def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
     return PowerSeries(z, -(n * phi[1:]))
 
 
-def grunsky_kernel_point(
-    fn: CatalogFunction,
-    z: complex,
-    w: complex | np.ndarray,
-    delta: float | None = None,
-):
+def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarray):
     """U(f;z,w) = f'(z)f'(w)/(f(w)-f(z))^2 - 1/(z-w)^2.
 
-    Within ``delta`` of the diagonal the removable singularity is evaluated
+    Within 0.15 (1-|z|) of the diagonal the removable singularity is evaluated
     through the derivative of the difference-quotient expansion,
     U = -sum_{n>=1} n phi_n(f;z) (w-z)^(n-1).
     """
     z = complex(z)
-    if delta is None:
-        delta = _default_delta(z)
     warr = np.asarray(w, dtype=np.complex128)
-    near = np.abs(warr - z) < delta
+    near = np.abs(warr - z) < _default_delta(z)
     far = ~near
     out = np.empty_like(warr)
     if np.any(far):

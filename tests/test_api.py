@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -152,3 +153,10 @@ def test_quadrature_imports_nothing_from_transforms():
         node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
     ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     assert [m for m in modules if m.split(".")[-1] == "transforms"] == []
+
+
+def test_only_the_cli_names_its_flags():
+    # catalog refuses a bad spec with a plain ValueError; cli.run names --fn
+    text = (SRC / "catalog.py").read_text()
+    assert "ConfigError" not in text
+    assert re.findall(r"--[a-z]", text) == []

@@ -316,12 +316,16 @@ def test_out_path_that_cannot_be_written_is_a_config_error(tmp_path, target):
     assert "Traceback" not in proc.stderr
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(capsys, monkeypatch):
+    # tests/test_acceptance.py runs each real check; here only the wiring
+    from univalence import acceptance
+
+    assert len(acceptance.CHECKS) == 12
+    passing = ("0", lambda: acceptance.AcceptanceResult("always-passes", True, "forced"))
+    monkeypatch.setattr(acceptance, "CHECKS", (passing,))
     code, out, _ = _capture(capsys, ["selftest"])
     assert code == 0
-    lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 12
-    assert all(line.startswith("PASS") for line in lines)
+    assert out == "PASS [0] always-passes: forced\n"
 
 
 def test_selftest_fails_on_a_failing_check(capsys, monkeypatch):
@@ -334,14 +338,15 @@ def test_selftest_fails_on_a_failing_check(capsys, monkeypatch):
     assert "FAIL [0] always-fails: forced" in out
 
 
-def _run_module(*argv):
+def _run_module(*argv, stdout=subprocess.PIPE, **env):
     src = str(pathlib.Path(univalence.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "univalence.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
         timeout=60,
     )
 
@@ -352,6 +357,28 @@ def test_module_entry_point_prints_json():
     assert json.loads(proc.stdout)["coeffs"] == [
         {"re": 0, "im": 0}, {"re": 1, "im": 0}, {"re": 2, "im": 0}
     ]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["fails_at_flush", "fails_at_write"])
+def test_closed_stdout_exits_without_a_traceback(unbuffered):
+    # the reader is gone before the child writes; a buffered stdout fails only when
+    # it is flushed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_module("criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "8",
+                           stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_grunsky_cap_is_the_truncation_of_its_sum(capsys):
+    # one expansion of 4096 coefficients whatever N is; N picks the partial sum to n = N
+    assert _capture(capsys, ["grunsky", "--fn", "koebe", "--N", "4095"])[0] == 0
+    code, out, err = _capture(capsys, ["grunsky", "--fn", "koebe", "--N", "4096"])
+    assert (code, out) == (2, "")
+    assert err == "config error: --N: must be <= 4095 (truncation of the Grunsky sum), got 4096\n"
 
 
 def test_series_overflow_refused_without_numpy_warnings():

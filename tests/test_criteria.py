@@ -1,6 +1,7 @@
 """Area sums, criterion reports, scans, probes and growth bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from univalence.criteria import (
     univalence_criterion,
 )
 from univalence.errors import NormalizationError, NotLocallyUnivalentError, UnivalenceError
-from univalence.oracles import criterion_terms, gen_binomial
+from univalence.oracles import criterion_terms, exact_quad_poly_sum, gen_binomial
 from univalence.sequences import phi_capital_direct
 from univalence.transforms import phi_capital_recentered, psi_via_transform
 
@@ -153,14 +154,9 @@ def test_criterion_refuses_an_overflowing_sum():
 
 
 def test_exp_scale_threshold_is_sharp(monkeypatch):
-    # e^{kz} is univalent on D exactly for k <= pi: no violation below the threshold on a
-    # grid out to |zeta| = 0.95, and one just above it near the circle, read on the
-    # first sampling radius alone, so no fallback radius decides the verdict
-    grid = default_grid(radii=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95), angles=32)
-    for lam in (0.5, 1.0):
-        rows = fullmap_scan(get("exp_scale", k=3.1), lam, grid, 1000).rows
-        assert len(rows) == 193
-        assert [r.zeta for r in rows if r.verdict == "violated"] == []
+    # e^{kz} is univalent on D exactly for k <= pi: a violation just above the threshold
+    # near the circle, read on the first sampling radius alone, so no fallback radius
+    # decides the verdict; acceptance check 12 scans k = 3.1 below it
     tried = []
     expand = transforms._expand
 
@@ -175,6 +171,38 @@ def test_exp_scale_threshold_is_sharp(monkeypatch):
         assert rep.verdict == "violated"
         assert rep.T_N == pytest.approx(0.70891, abs=1e-5)
         assert tried == list(transforms._sampling(1000)[0][:1])
+
+
+@pytest.mark.parametrize(
+    "fn,zeta,N,first_reason,fallback,T_N",
+    [
+        # f(0.95) = 0.95 + a 0.95^2 = 0 = f(0): the first circle passes through a collision
+        (get("quad_poly", a=-1 / 0.95), 0.0, 8,
+         "collision point on the sampling circle at rho=0.95", 0.9, 3.3392139084828205),
+        # on rho_0 = 0.998876 the transform reads Phi_0 = 1 + 4.4e-7i
+        (get("exp_scale", k=3.3), 0.98j, 4096,
+         f"normalization check failed at rho={transforms._sampling(4096)[0][0]}: Phi_0=",
+         0.95, None),
+    ],
+    ids=["collision", "normalization"],
+)
+def test_engine_fallback_reasons(monkeypatch, fn, zeta, N, first_reason, fallback, T_N):
+    # the first radius is refused for its own reason, and the next fixed rung is used
+    reasons = []
+    expand = transforms._expand
+
+    def recording(*args):
+        out, reason = expand(*args)
+        reasons.append((args[6], reason))  # rho
+        return out, reason
+
+    monkeypatch.setattr(transforms, "_expand", recording)
+    rep = univalence_criterion(fn, 0.5, zeta, N)
+    assert reasons[0][1].startswith(first_reason)
+    assert reasons[1:] == [(fallback, None)]
+    assert rep.verdict == "violated"
+    if T_N is not None:
+        assert rep.T_N == pytest.approx(T_N, rel=1e-12)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
@@ -224,6 +252,33 @@ def test_criterion_validates_inputs():
         univalence_criterion(KOEBE, 0.5, 0.3, 0)
     with pytest.raises(TypeError, match="integer"):
         univalence_criterion(KOEBE, 0.5, 0.3, 96.0)
+
+
+# ------------------------------------------------------------ exact sums
+
+
+def test_exact_quad_poly_sum_is_the_printed_formula():
+    A = criterion_terms(get("quad_poly", a=0.3), 0.5, 0.2, 8).real
+    printed = float(np.sum((np.arange(1, 9) - 0.5) * A**2))
+    assert float(exact_quad_poly_sum(Fraction(3, 10), Fraction(1, 5), 8)) == pytest.approx(
+        printed, rel=1e-13
+    )
+
+
+@pytest.mark.parametrize(
+    "a,zeta,N,exact",
+    [
+        (Fraction(51, 100), Fraction(-19, 20), 96, 1.4007492912056758),
+        (Fraction(1, 2), Fraction(-99, 100), 1000, 0.49253738339588676),
+    ],
+    ids=["a=0.51,zeta=-0.95,N=96", "a=0.5,zeta=-0.99,N=1000"],
+)
+def test_quad_poly_criterion_sum_matches_its_exact_value(a, zeta, N, exact):
+    # the engine reads these within 1.5e-13 and 4.7e-14
+    T = exact_quad_poly_sum(a, zeta, N)
+    assert float(T) == exact
+    rep = univalence_criterion(get("quad_poly", a=float(a)), 0.5, float(zeta), N)
+    assert abs(rep.T_N - float(T)) <= 1e-12
 
 
 # ------------------------------------------------------------ scans

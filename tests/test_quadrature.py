@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from univalence import criteria, oracles
+from univalence import criteria, oracles, quadrature
 from univalence.catalog import from_spec, get, list_catalog
 from univalence.cli import run
 from univalence.oracles import MeshSpec, SingularSampleError, integrate_disk, quadrature_area_integral
@@ -20,6 +20,7 @@ from univalence.quadrature import (
     psi_grunsky_identity_check,
 )
 from univalence.sequences import aharonov_phi
+from univalence.series import ps_eval
 from univalence.catalog import series_at
 from univalence.criteria import univalence_criterion
 from univalence.transforms import psi_via_transform
@@ -261,9 +262,8 @@ def test_kernel_identity_vanishes():
 
 def test_kernel_koebe_is_constant_minus_one():
     # at the origin the slit-map kernel is identically -1
-    assert grunsky_kernel_point(KOEBE, 0.0, 0.2, delta=0.01) == pytest.approx(
-        -1.0, abs=1e-13
-    )
+    # w = 0.2 lies outside the near-diagonal radius 0.15, so the closed form answers
+    assert grunsky_kernel_point(KOEBE, 0.0, 0.2) == pytest.approx(-1.0, abs=1e-13)
     assert grunsky_kernel_point(KOEBE, 0.0, 1e-9) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -276,17 +276,20 @@ def test_kernel_diagonal_limit_is_schwarzian_over_six():
 
 
 def test_kernel_dual_route_band_agreement():
-    delta = 0.15
+    # the near-diagonal series against the closed form, at radii on both sides of
+    # the kernel's switch radius 0.15 (1 - |z|) = 0.135
+    z, delta = 0.1, 0.15
     radii = (0.5 * delta, 0.8 * delta, delta, 1.4 * delta, 2.0 * delta)
     worst = 0.0
     for fn in list_catalog():
         if not fn.flags.locally_univalent_on_disk:
             continue
+        near_series = quadrature._grunsky_series(fn, z)
         for r in radii:
             for ang in (0.4, 2.3, 4.0):
-                w = 0.1 + r * np.exp(1j * ang)
-                near = grunsky_kernel_point(fn, 0.1, w, delta=10.0)
-                far = grunsky_kernel_point(fn, 0.1, w, delta=1e-12)
+                w = z + r * np.exp(1j * ang)
+                near = ps_eval(near_series, w)
+                far = fn.df(z) * fn.df(w) / (fn.f(w) - fn.f(z)) ** 2 - 1.0 / (z - w) ** 2
                 worst = max(worst, abs(near - far))
     assert worst <= 1e-9
 

@@ -149,7 +149,7 @@ def test_recentered_engine_zero_shift_matches_plain_series():
 
 
 def test_recentered_engine_radius_fallback():
-    # a collision circle inside the default sampling radius forces a retry
+    # q winds on the circles 0.95 and 0.9 (a zero of q enclosed), so 0.82 is used
     e6 = get("exp_scale", k=6)
     A = phi_capital_recentered(e6, -0.3j, 0.5, 8)
     F = compose_with_automorphism(e6, -0.3j, 12)

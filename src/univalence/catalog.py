@@ -343,5 +343,8 @@ def from_spec(spec: str) -> CatalogFunction:
             key, eq, val = item.partition("=")
             if not eq:
                 raise ValueError(f"malformed parameter {item!r} in {spec!r}")
-            params[key.strip()] = parse_complex(val)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"parameter {key!r} repeated in {spec!r}")
+            params[key] = parse_complex(val)
     return get(name.strip(), **params)

@@ -182,6 +182,8 @@ def _check_flags(args) -> None:
     if lam is None:
         if getattr(args, "kind", None) == "Phi":
             raise ConfigError("--lambda", "required for kind=Phi")
+    elif getattr(args, "kind", None) in ("phi", "Psi"):
+        raise ConfigError("--lambda", f"not used by kind={args.kind}")
     elif not (math.isfinite(lam) and lam > 0):
         raise ConfigError("--lambda", f"must be finite and > 0, got {lam!r}")
     elif (rule := _LAMBDA_MAXIMUM.get(args.command)) and (lam > 1 or lam == 1 and rule == "<"):

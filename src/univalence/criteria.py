@@ -123,11 +123,6 @@ def prawitz_sum_s(fn: CatalogFunction, lam: float, N: int) -> float:
     return univalence_criterion(fn, lam, 0.0, N).T_N
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def _partial_sums(
     fn: CatalogFunction, lam: float, zeta: complex, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +177,8 @@ def univalence_criterion(
     discarded terms carry nonnegative weight.  T_N at or below budget is
     merely consistent with univalence.
     """
-    _check_tol(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     A, S = _partial_sums(fn, lam, zeta, N)
     T = float(S[-1])
     return CriterionReport(
@@ -232,7 +228,6 @@ def fullmap_scan(
     """
     if not 0 < lam <= 1.0:
         raise ValueError("fullmap_scan requires 0 < lam <= 1 (monotone regime)")
-    _check_tol(tol)
     rows = []
     ok = True
     for zeta in grid:
@@ -269,8 +264,6 @@ def decay_bound_checks(
     if N < 1:
         raise ValueError("N must be >= 1")
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("|z| must be < 1")
     s = series_at(fn, z, N + 2)
     phi = aharonov_phi(s, N).values
     Phi = phi_capital_direct(s, lam, N).values

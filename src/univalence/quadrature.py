@@ -87,9 +87,6 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
             f"{fn.label} is not flagged univalent; the integrand would be "
             "singular where values collide"
         )
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("|z| must be < 1")
     S = _partial_sums(fn, lam, z, _COUNT)[1]
     # the criterion's budget is sum (n-lam)|A_n|^2 <= lam
     return QuadratureResult(value=float(S[-1]) / lam**2, error_estimate=_error(S, lam) / lam**2)
@@ -134,6 +131,8 @@ def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarra
 
 def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult, float]:
     """U_f(z) and the share of its exterior sum beyond n = N, from one engine call."""
+    if not 32 <= N < _COUNT:
+        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_COUNT - 1}")
     if not fn.flags.univalent_on_disk:
         raise ValueError(f"{fn.label} is not flagged univalent")
     z = complex(z)
@@ -161,6 +160,4 @@ def psi_grunsky_identity_check(fn: CatalogFunction, z: complex, N: int) -> float
     sides read the partial sums S at lam = 1 of one engine call, the left side
     S_{N+1} and the right side S_4096, so this is the share of the sum beyond
     n = N, normalized by the sum floored at 1e-12."""
-    if not 32 <= N < _COUNT:
-        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_COUNT - 1}")
     return _grunsky(fn, z, N)[1]

@@ -1,4 +1,6 @@
-"""Public surface: the reference routes live only in univalence.oracles."""
+"""Public surface: the reference routes live only in univalence.oracles, only the
+CLI names its flags, and each entry point leaves its argument checks to the routine
+that reads the argument."""
 
 import ast
 import importlib
@@ -8,6 +10,10 @@ import re
 import pytest
 
 import univalence
+from univalence import criteria, quadrature, transforms
+from univalence.catalog import get
+
+KOEBE = get("koebe")
 
 #: reference routes moved out of the product modules
 MOVED = (
@@ -78,6 +84,8 @@ DELETED = (
     "CenterMismatchError",
     "_check_centers",
     "_common_order",
+    # each argument is checked once, by the routine that reads it
+    "_check_tol",
 )
 
 PRODUCT_MODULES = ("errors", "series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")
@@ -155,8 +163,36 @@ def test_quadrature_imports_nothing_from_transforms():
     assert [m for m in modules if m.split(".")[-1] == "transforms"] == []
 
 
+def _imports_config_error(node) -> bool:
+    return isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+        alias.name.split(".")[-1] == "ConfigError" for alias in node.names
+    )
+
+
 def test_only_the_cli_names_its_flags():
-    # catalog refuses a bad spec with a plain ValueError; cli.run names --fn
-    text = (SRC / "catalog.py").read_text()
-    assert "ConfigError" not in text
-    assert re.findall(r"--[a-z]", text) == []
+    # the library refuses with plain ValueErrors; cli.run names the flag
+    for module in PRODUCT_MODULES:
+        if module == "cli":
+            continue
+        text = (SRC / f"{module}.py").read_text()
+        assert not any(_imports_config_error(node) for node in ast.walk(ast.parse(text))), module
+        assert re.findall(r"--[a-z]", text) == [], module
+
+
+ENTRIES = {
+    "prawitz_integral": lambda z: quadrature.prawitz_integral(KOEBE, 0.5, z),
+    "grunsky_norm": lambda z: quadrature.grunsky_norm(KOEBE, z),
+    "psi_grunsky_identity_check": lambda z: quadrature.psi_grunsky_identity_check(KOEBE, z, 64),
+    "decay_bound_checks": lambda z: criteria.decay_bound_checks(KOEBE, z, 4, 0.5),
+    "univalence_criterion": lambda z: criteria.univalence_criterion(KOEBE, 0.5, z, 8),
+    "psi_via_transform": lambda z: transforms.psi_via_transform(KOEBE, z, 4),
+}
+
+
+@pytest.mark.parametrize("z", [1, 2, -1j, float("nan"), complex(0.3, float("nan"))], ids=repr)
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entries_refuse_points_off_the_disk(entry, z):
+    # no entry checks the point itself: the engine or series_at, which reads it, refuses it
+    with pytest.raises(ValueError):
+        ENTRIES[entry](z)

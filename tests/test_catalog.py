@@ -161,7 +161,7 @@ def test_from_spec_round_trip():
 
 def test_from_spec_errors_name_the_flag():
     # a plain ValueError: only the CLI knows the spec came from --fn
-    for spec in ("nonsense", "koebe:bogus=1", "exp_scale:k", "exp_scale:k=junk"):
+    for spec in ("nonsense", "koebe:bogus=1", "exp_scale:k", "exp_scale:k=junk", "exp_scale:k=4,k=5"):
         with pytest.raises(ValueError) as err:
             from_spec(spec)
         assert type(err.value) is ValueError

@@ -240,6 +240,18 @@ def test_numeric_error_exit_code(capsys):
         # an empty path is a path that cannot be written, not stdout
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "1", "--out", ""], 2,
          "--out: cannot write ''"),
+        # a spec names each parameter once, rather than keeping its last value
+        (["criterion", "--fn", "exp_scale:k=4,k=5", "--lambda", "0.5", "--N", "2"], 2,
+         "--fn: parameter 'k' repeated"),
+        # only Phi reads lambda; the payloads of phi and Psi would not echo it
+        (["sequence", "--fn", "koebe", "--kind", "phi", "--lambda", "0.5", "--count", "2"], 2,
+         "--lambda: not used by kind=phi"),
+        (["sequence", "--fn", "koebe", "--kind", "Psi", "--lambda", "0.5", "--count", "2"], 2,
+         "--lambda: not used by kind=Psi"),
+        # a non-real theta, a literal only complex() refuses, and a radius that is no number
+        (["criterion", "--fn", "rotated_koebe:theta=1+1i", "--lambda", "0.5"], 2, "--fn"),
+        (["criterion", "--fn", "exp_scale:k=1e", "--lambda", "0.5"], 2, "--fn"),
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "abcx4"], 2, "--grid"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -303,6 +303,7 @@ def test_expansion_evaluates_f_once_per_radius(spec, zeta, radii):
         (0.5, complex("nan"), 8, ValueError, r"\|zeta\| must be < 1"),
         (0.5, complex(0.3, float("nan")), 8, ValueError, r"\|zeta\| must be < 1"),
         (0.5, 0.3, 96.0, TypeError, "integer"),
+        (0.5, 0.3, -1, ValueError, "count must be >= 0"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

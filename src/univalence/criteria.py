@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import CatalogFunction, series_at
 from .errors import NormalizationError, UnivalenceError
 from .sequences import aharonov_phi, phi_capital_direct
-from .transforms import _GROWTH, phi_capital_recentered
+from .transforms import _GROWTH, _MIN_SAMPLES, phi_capital_recentered
 
 __all__ = [
     "CriterionReport",
@@ -47,6 +47,10 @@ _EPS_SCAN = 0.05
 
 #: least error estimate relative to a sum: sums land within 3 eps of closed forms
 _ROUNDOFF = 16 * np.finfo(float).eps
+
+#: coefficients of a first, short read of a long sum: the most that one expansion
+#: at the sample floor gives (four samples per coefficient)
+_SHORT = _MIN_SAMPLES // 4
 
 Verdict = Literal["consistent", "violated"]
 
@@ -138,6 +142,17 @@ def _partial_sums(
             f"the criterion sum at zeta={complex(zeta)} leaves the double range at N={N}"
         )
     return A, S
+
+
+def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.ndarray:
+    """The partial sums S_1..S_K of ``_partial_sums``: K = 1024 when the second half
+    of that short sum, S_1024 - S_512, is at the roundoff of the sum or of K engine
+    terms (the floors of ``_error``), else K = N."""
+    S = _partial_sums(fn, lam, zeta, _SHORT)[1]
+    total = float(S[-1])
+    if total - S[_SHORT // 2 - 1] > max(_ROUNDOFF * total, (_GROWTH * _SHORT * np.finfo(float).eps) ** 2):
+        S = _partial_sums(fn, lam, zeta, N)[1]
+    return S
 
 
 def _error(partial: np.ndarray, budget: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
-from .criteria import _error, _partial_sums
+from .criteria import _error, _partial_sums, _settled_sums
 from .sequences import aharonov_phi
 from .series import PowerSeries, ps_eval
 
@@ -87,7 +87,7 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
             f"{fn.label} is not flagged univalent; the integrand would be "
             "singular where values collide"
         )
-    S = _partial_sums(fn, lam, z, _COUNT)[1]
+    S = _settled_sums(fn, lam, z, _COUNT)
     # the criterion's budget is sum (n-lam)|A_n|^2 <= lam
     return QuadratureResult(value=float(S[-1]) / lam**2, error_estimate=_error(S, lam) / lam**2)
 

@@ -219,35 +219,82 @@ def test_area_sum_stays_within_budget_where_the_quadrature_overshoots():
     assert abs(res.value - quad.value) <= quad.error_estimate
 
 
-@pytest.mark.parametrize(
-    "spec", ["koebe", "rotated_koebe:theta=1.1", "bounded:b=0.5-0.3i", "quad_poly:a=0.3", "exp_scale:k=1", "cayley"]
-)
-def test_area_integral_is_the_criterion_sum_over_lam_squared(spec):
-    # one partial-sum routine: the same summation order, so equal bit for bit
-    fn = from_spec(spec)
-    for lam in (0.3, 0.5, 1.0):
-        for z in (0.0, 0.3, 0.2 - 0.45j, 0.9):
-            T = univalence_criterion(fn, lam, z, 4096).T_N
-            assert T / lam**2 == prawitz_integral(fn, lam, z).value, (lam, z)
-
-
-def test_area_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
+def _engine_counts(monkeypatch) -> list:
+    """Record the (lam, count) of every engine call the criterion routines make."""
     calls = []
     engine = criteria.phi_capital_recentered
 
     def counting(*args):
-        calls.append(args)
+        calls.append(args[2:])
         return engine(*args)
+
+    monkeypatch.setattr(criteria, "phi_capital_recentered", counting)
+    return calls
+
+
+def _reads_4096(spec, lam, z):
+    # the cases whose short sum S_1024 - S_512 is above roundoff: koebe, the rotation
+    # by 1.1 and cayley at lam = 0.3, cayley at lam = 0.5 and the rotation at z = 0.9;
+    # every other case of the table below reads 1024 coefficients
+    return (
+        (lam == 0.3 and spec in ("koebe", "rotated_koebe:theta=1.1", "cayley"))
+        or (lam == 0.5 and spec == "cayley")
+        or (z == 0.9 and spec == "rotated_koebe:theta=1.1")
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ["koebe", "rotated_koebe:theta=1.1", "bounded:b=0.5-0.3i", "quad_poly:a=0.3", "exp_scale:k=1", "cayley"]
+)
+def test_area_integral_is_the_criterion_sum_over_lam_squared(spec, monkeypatch):
+    # one partial-sum routine: the same summation order, so equal bit for bit to
+    # the criterion sum at the truncation K the route read
+    fn = from_spec(spec)
+    calls = _engine_counts(monkeypatch)
+    for lam in (0.3, 0.5, 1.0):
+        for z in (0.0, 0.3, 0.2 - 0.45j, 0.9):
+            calls.clear()
+            value = prawitz_integral(fn, lam, z).value
+            K = 4096 if _reads_4096(spec, lam, z) else 1024
+            assert calls[-1] == (lam, K), (lam, z, calls)
+            assert univalence_criterion(fn, lam, z, K).T_N / lam**2 == value, (lam, z, K)
+
+
+@pytest.mark.parametrize(
+    "spec,lam",
+    [(spec, lam) for spec in ("koebe", "rotated_koebe:theta=3.782367") for lam in (0.3, 0.7, 0.935078)]
+    + [("cayley", 0.5), ("bounded:b=1", 0.5)],
+)
+def test_area_slow_tail_reads_4096_coefficients(spec, lam, monkeypatch):
+    # algebraic tails: the second half of the short sum is above roundoff, so the
+    # route reads A_1..A_4096 and the value is T_4096 / lam^2 as without the short
+    # read.  At lam = 0.935078 that half is about 2e-14 relative, below _error's
+    # 1e-13 no-tail threshold, so the stop does not rest on that branch.
+    fn = from_spec(spec)
+    calls = _engine_counts(monkeypatch)
+    for z in (0.0, 0.9):
+        calls.clear()
+        value = prawitz_integral(fn, lam, z).value
+        assert calls == [(lam, 1024), (lam, 4096)], (z, calls)
+        assert univalence_criterion(fn, lam, z, 4096).T_N / lam**2 == value, z
+
+
+def test_area_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
+    # a tail at roundoff by n = 1024 takes one short engine call; a slow tail
+    # (koebe at lam = 0.3) takes that call and one of 4096 coefficients
+    calls = _engine_counts(monkeypatch)
 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the disk quadrature is off the area route")
 
-    monkeypatch.setattr(criteria, "phi_capital_recentered", counting)
     monkeypatch.setattr(oracles, "integrate_disk", no_quadrature)
     assert prawitz_integral(KOEBE, 0.5, 0.3).value == pytest.approx(2.0, rel=1e-14)
     assert run(["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.3"]) == 0
     assert "mesh" not in json.loads(capsys.readouterr().out)
-    assert [args[2:] for args in calls] == [(0.5, 4096), (0.5, 4096)]
+    assert calls == [(0.5, 1024), (0.5, 1024)]
+    calls.clear()
+    assert prawitz_integral(KOEBE, 0.3, 0.3).value == pytest.approx(1 / 0.3, rel=1e-4)
+    assert calls == [(0.3, 1024), (0.3, 4096)]
     assert "mesh" not in inspect.signature(prawitz_integral).parameters
 
 
@@ -366,23 +413,18 @@ def test_norm_and_identity_share_one_exterior_sum():
 
 
 def test_grunsky_routes_make_one_engine_call_and_no_quadrature(monkeypatch, capsys):
-    calls = []
-    engine = criteria.phi_capital_recentered
-
-    def counting(*args):
-        calls.append(args)
-        return engine(*args)
+    # the Grunsky route keeps its fixed sum: its N reads S_{N+1} up to N = 4095
+    calls = _engine_counts(monkeypatch)
 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the disk quadrature is off the Grunsky route")
 
-    monkeypatch.setattr(criteria, "phi_capital_recentered", counting)
     monkeypatch.setattr(oracles, "integrate_disk", no_quadrature)
     grunsky_norm(KOEBE, 0.3)
     psi_grunsky_identity_check(KOEBE, 0.3, 64)
     assert run(["grunsky", "--fn", "koebe", "--z", "0.3", "--N", "32"]) == 0
     assert json.loads(capsys.readouterr().out)["identity_residual"] == 0.0
-    assert [args[2:] for args in calls] == [(1.0, 4096)] * 3
+    assert calls == [(1.0, 4096)] * 3
     for route in (grunsky_norm, psi_grunsky_identity_check):
         assert "mesh" not in inspect.signature(route).parameters
     assert "mesh" not in QuadratureResult.__dataclass_fields__

@@ -65,16 +65,12 @@ def _fmt(x: float) -> str:
 def _render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [
             f'{pad}  "{key}": {_render_json(val, indent + 1)}'
             for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         items = [f"{pad}  {_render_json(val, indent + 1)}" for val in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, complex):

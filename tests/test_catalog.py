@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from univalence.catalog import from_spec, get, list_catalog, parse_complex, series_at
+from univalence.catalog import CatalogFlags, from_spec, get, list_catalog, parse_complex, series_at
 from univalence.errors import SeriesOverflowError
 from univalence.series import ps_eval
 
@@ -32,6 +32,8 @@ def test_center_outside_disk_rejected():
     # a NaN center is refused as a center, not reported as an overflow
     with pytest.raises(ValueError, match="outside the open unit disk"):
         series_at(get("koebe"), complex("nan"), 4)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        series_at(get("koebe"), 0.3, 0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -100,6 +102,10 @@ def test_flag_implications_hold_for_all_entries():
             assert f.locally_univalent_on_disk
         if f.full_mapping:
             assert f.univalent_on_disk
+    with pytest.raises(ValueError, match="univalent implies locally univalent"):
+        CatalogFlags(False, True, False)
+    with pytest.raises(ValueError, match="full mapping implies univalent"):
+        CatalogFlags(True, False, True)
 
 
 def test_bounded_parameter_range():

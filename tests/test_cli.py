@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import univalence
-from univalence.cli import _parse_grid, run
+from univalence.cli import _parse_grid, _render_json, run
 from univalence.errors import ConfigError
 
 
@@ -36,6 +36,8 @@ def test_criterion_json_payload(capsys):
     assert payload["margin"] == pytest.approx(0.0, abs=1e-15)
     assert payload["verdict"] == "consistent"
     assert payload["terms"][0] == pytest.approx({"re": -1.0, "im": 0.0}, abs=1e-15)
+    with pytest.raises(TypeError, match="cannot render"):
+        _render_json(object())
 
 
 def test_sequence_identity_all_zero(capsys):

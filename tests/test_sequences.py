@@ -107,6 +107,8 @@ def test_phi_cayley_closed_form(z):
 def test_phi_order_requirement():
     with pytest.raises(ValueError):
         aharonov_phi(series_at(KOEBE, 0.0, 5), 4)
+    with pytest.raises(ValueError, match="local invariants need order >= 3"):
+        local_invariants(series_at(KOEBE, 0.0, 2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -150,7 +150,8 @@ def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.
     terms (the floors of ``_error``), else K = N."""
     S = _partial_sums(fn, lam, zeta, _SHORT)[1]
     total = float(S[-1])
-    if total - S[_SHORT // 2 - 1] > max(_ROUNDOFF * total, (_GROWTH * _SHORT * np.finfo(float).eps) ** 2):
+    floor = max(_ROUNDOFF * total, (_GROWTH * _SHORT * np.finfo(float).eps) ** 2)
+    if total - S[_SHORT // 2 - 1] > floor:
         S = _partial_sums(fn, lam, zeta, N)[1]
     return S
 

@@ -2,10 +2,11 @@
 Grunsky kernel.
 
 Both quantities read the partial sums S_K = sum_{n<=K} (n-lam)|A_n|^2 of the
-recentered coefficients A_n at zeta = z, from one engine call of 4096
-coefficients and 16384 samples (:func:`univalence.criteria._partial_sums`, the
-routine behind the criterion sum T_N).  The area integral bounded by 1/lam is
-S_4096 / lam^2.  The Grunsky norm follows from
+recentered coefficients A_n at zeta = z (:func:`univalence.criteria._partial_sums`,
+the routine behind the criterion sum T_N).  The area integral bounded by 1/lam
+is S_K / lam^2, with K = 1024 from 4096 samples when S_1024 - S_512 is at
+roundoff and K = 4096 from 16384 samples otherwise.  The Grunsky norm, always
+read from 4096 coefficients, follows from
 (1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, and Psi_n = A_{n+1} at
 lam = 1, so its sum to n = K is S_{K+1} at lam = 1.  Every term is >= 0, so
 each sum is a lower bound; its tail is extrapolated from the partial sums and
@@ -72,9 +73,11 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
     criterion's budget lam are one inequality.  Equality holds exactly for
     full mappings.
 
-    The value is the partial sum S_4096 / lam^2 of one engine call.  Every
-    term is >= 0 for lam <= 1, so the value is a lower bound; the error
-    estimate is the sum's extrapolated tail, at most 1/lam less the value.
+    The value is the partial sum S_K / lam^2: K = 1024 when the second half
+    of that short sum is at roundoff, else K = 4096 from a second engine call
+    (:func:`univalence.criteria._settled_sums`).  Every term is >= 0 for
+    lam <= 1, so the value is a lower bound; the error estimate is the sum's
+    extrapolated tail, at most 1/lam less the value.
     Refused for entries not flagged univalent, whose integrand is singular
     where values collide.
     """

@@ -233,9 +233,8 @@ def _engine_counts(monkeypatch) -> list:
 
 
 def _reads_4096(spec, lam, z):
-    # the cases whose short sum S_1024 - S_512 is above roundoff: koebe, the rotation
-    # by 1.1 and cayley at lam = 0.3, cayley at lam = 0.5 and the rotation at z = 0.9;
-    # every other case of the table below reads 1024 coefficients
+    # the cases of the table below whose S_1024 - S_512 is above roundoff; every
+    # other case reads 1024 coefficients
     return (
         (lam == 0.3 and spec in ("koebe", "rotated_koebe:theta=1.1", "cayley"))
         or (lam == 0.5 and spec == "cayley")

@@ -196,9 +196,12 @@ def test_numeric_error_exit_code(capsys):
         (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4096"], 2, "--count"),
         (["grunsky", "--fn", "koebe", "--N", "4096"], 2, "--N"),
         # the area theorem and the scan hold for lambda <= 1, the growth bounds for lambda < 1
-        (["area", "--fn", "koebe", "--lambda", "1.5"], 2, "--lambda"),
-        (["scan", "--fn", "koebe", "--lambda", "1.5"], 2, "--lambda"),
-        (["bounds", "--fn", "koebe", "--lambda", "1"], 2, "--lambda"),
+        (["area", "--fn", "koebe", "--lambda", "1.5"], 2,
+         "--lambda: must be <= 1 for area, got 1.5"),
+        (["scan", "--fn", "koebe", "--lambda", "1.5"], 2,
+         "--lambda: must be <= 1 for scan, got 1.5"),
+        (["bounds", "--fn", "koebe", "--lambda", "1"], 2,
+         "--lambda: must be < 1 for bounds, got 1.0"),
         (["criterion", "--fn", "identity", "--lambda", "800", "--zeta", "0.3", "--N", "2"], 1,
          "could not expand"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "nanx4"], 2, "--grid"),

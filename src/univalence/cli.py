@@ -46,10 +46,6 @@ _RANGE = {
     ("grunsky", "N"): (32, quadrature._COUNT - 1, "truncation of the Grunsky sum"),
 }
 
-#: the subcommands whose --lambda is bounded by 1, and how: the area theorem and
-#: the scan's monotone regime take lambda <= 1, the growth bounds lambda < 1
-_LAMBDA_MAXIMUM = {"area": "<=", "scan": "<=", "bounds": "<"}
-
 
 # --------------------------------------------------------------------------
 # deterministic rendering
@@ -182,7 +178,7 @@ def _check_flags(args) -> None:
         raise ConfigError("--lambda", f"not used by kind={args.kind}")
     elif not (math.isfinite(lam) and lam > 0):
         raise ConfigError("--lambda", f"must be finite and > 0, got {lam!r}")
-    elif (rule := _LAMBDA_MAXIMUM.get(args.command)) and (lam > 1 or lam == 1 and rule == "<"):
+    elif (rule := args.lam_max) and (lam > 1 or lam == 1 and rule == "<"):
         raise ConfigError("--lambda", f"must be {rule} 1 for {args.command}, got {lam!r}")
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
@@ -223,32 +219,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common(p):
+    def add_common(p, run, lam_max=None):
+        # run(args, fn) computes the subcommand, and lam_max bounds --lambda: the area
+        # theorem and the scan's monotone regime take lambda <= 1, the growth bounds < 1
         p.add_argument("--fn", required=True, help="catalog id, e.g. koebe or exp_scale:k=4")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(run=run, lam_max=lam_max)
 
     p = sub.add_parser("series", help="Taylor coefficients of a catalog entry")
-    add_common(p)
+    add_common(p, _cmd_series)
     p.add_argument("--z", default="0", help="expansion center")
     p.add_argument("--count", type=int, default=16, help="expansion order")
 
     p = sub.add_parser("sequence", help="phi/Phi/Psi coefficient tables")
-    add_common(p)
+    add_common(p, _cmd_sequence)
     p.add_argument("--kind", choices=("phi", "Phi", "Psi"), required=True)
     p.add_argument("--z", default="0")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
 
     p = sub.add_parser("criterion", help="criterion sum report at one probe point")
-    add_common(p)
+    add_common(p, _cmd_criterion)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--zeta", default="0")
     p.add_argument("--N", type=int, default=64)
     p.add_argument("--tol", type=float, default=criteria.DEFAULT_TOL)
 
     p = sub.add_parser("scan", help="criterion gaps over a probe grid (CSV by default)")
-    add_common(p)
+    add_common(p, _cmd_scan, "<=")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--grid", default="default")
     p.add_argument("--N", type=int, default=96)
@@ -256,18 +255,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(format="csv")
 
     p = sub.add_parser("bounds", help="growth-bound slack table for a univalent entry")
-    add_common(p)
+    add_common(p, _cmd_bounds, "<")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--z", default="0")
     p.add_argument("--N", type=int, default=10)
 
     p = sub.add_parser("area", help="weighted area integral with budget 1/lambda")
-    add_common(p)
+    add_common(p, _cmd_area, "<=")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--z", default="0")
 
     p = sub.add_parser("grunsky", help="Grunsky norm and the exterior-sum identity residual")
-    add_common(p)
+    add_common(p, _cmd_grunsky)
     p.add_argument("--z", default="0")
     p.add_argument("--N", type=int, default=64)
 
@@ -370,17 +369,6 @@ def _cmd_grunsky(args, fn):
     return body, ("grunsky_norm", "error_estimate", "identity_residual")
 
 
-_DISPATCH = {
-    "series": _cmd_series,
-    "sequence": _cmd_sequence,
-    "criterion": _cmd_criterion,
-    "scan": _cmd_scan,
-    "bounds": _cmd_bounds,
-    "area": _cmd_area,
-    "grunsky": _cmd_grunsky,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -396,7 +384,7 @@ def run(argv: list[str] | None = None) -> int:
             fn = catalog.from_spec(args.fn)
         except ValueError as exc:
             raise ConfigError("--fn", str(exc)) from exc
-        body, table = _DISPATCH[args.command](args, fn)
+        body, table = args.run(args, fn)
         payload = {"schema": SCHEMA_VERSION, "command": args.command, "fn": fn.label}
         payload.update(body)
         _emit(args, payload, table)

@@ -86,6 +86,9 @@ DELETED = (
     "_common_order",
     # each argument is checked once, by the routine that reads it
     "_check_tol",
+    # each subparser carries its runner and its lambda ceiling
+    "_DISPATCH",
+    "_LAMBDA_MAXIMUM",
 )
 
 PRODUCT_MODULES = ("errors", "series", "catalog", "sequences", "transforms", "criteria", "quadrature", "cli")

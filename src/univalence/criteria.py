@@ -156,6 +156,13 @@ def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.
     return S
 
 
+#: least lam of the area sum: it and its tail scale like lam^2, so below _GROWTH * K * eps
+#: (9.1e-11 at its K = 4096 terms) the tail is under the no-tail floor of ``_error``; the
+#: factor 10 is the margin a sweep needs (full mappings fall short of 1/lam from 5e-11
+#: down, and Moebius maps read roundoff from 1e-10 down)
+_LAM_FLOOR = 10 * _GROWTH * 4096 * np.finfo(float).eps
+
+
 def _error(partial: np.ndarray, budget: float) -> float:
     """The error of a sum of terms >= 0 from its ``partial`` sums S_1..S_K: the
     tail, at most ``budget`` less the sum and at least the sum's roundoff.

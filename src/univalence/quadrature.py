@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
-from .criteria import _error, _partial_sums, _settled_sums
+from .criteria import _LAM_FLOOR, _error, _partial_sums, _settled_sums
 from .sequences import aharonov_phi
 from .series import PowerSeries, ps_eval
 
@@ -78,13 +78,16 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
     (:func:`univalence.criteria._settled_sums`).  Every term is >= 0 for
     lam <= 1, so the value is a lower bound; the error estimate is the sum's
     extrapolated tail, at most 1/lam less the value.
-    Refused for entries not flagged univalent, whose integrand is singular
-    where values collide.
+    Refused for lam below ``criteria._LAM_FLOOR``, about 9.1e-10, where that tail
+    is under roundoff, and for entries not flagged univalent, whose integrand is
+    singular where values collide.
     """
     if not 0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
-    if lam**2 == 0.0:  # below about 1.5e-162 the sum over lam^2 has no double value
-        raise ValueError(f"lam={lam!r} is too small: lam^2 underflows to 0")
+    if lam < _LAM_FLOOR:
+        raise ValueError(
+            f"lam={lam!r} is too small: below {_LAM_FLOOR:.2g} the sum's tail is under roundoff"
+        )
     if not fn.flags.univalent_on_disk:
         raise ValueError(
             f"{fn.label} is not flagged univalent; the integrand would be "

@@ -231,7 +231,7 @@ def test_numeric_error_exit_code(capsys):
          "non-finite samples"),
         (["sequence", "--fn", "exp_scale:k=1e300", "--kind", "Psi", "--z", "0"], 1,
          "non-finite samples"),
-        # below about 1.5e-162 lambda^2 underflows, and the area sum over it has no value
+        # below the least lambda of the area sum (rows at the end of the table)
         (["area", "--fn", "koebe", "--lambda", "1e-300", "--z", "0"], 1, "lam=1e-300"),
         (["area", "--fn", "bounded:b=0.5", "--lambda", "1e-200"], 1, "lam=1e-200"),
         # a scan makes one engine call per point
@@ -257,6 +257,11 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "rotated_koebe:theta=1+1i", "--lambda", "0.5"], 2, "--fn"),
         (["criterion", "--fn", "exp_scale:k=1e", "--lambda", "0.5"], 2, "--fn"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "abcx4"], 2, "--grid"),
+        # the area sum scales like lambda^2, and below about 9.1e-10 its tail is under
+        # the absolute roundoff floor of its error estimate
+        (["area", "--fn", "koebe", "--lambda", "1e-10"], 1, "lam=1e-10 is too small"),
+        (["area", "--fn", "cayley", "--lambda", "1e-20", "--z", "0.9"], 1,
+         "lam=1e-20 is too small"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -105,8 +105,13 @@ def test_phi_cayley_closed_form(z):
 
 
 def test_phi_order_requirement():
+    s = series_at(KOEBE, 0.0, 5)
     with pytest.raises(ValueError):
-        aharonov_phi(series_at(KOEBE, 0.0, 5), 4)
+        aharonov_phi(s, 4)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        aharonov_phi(s, -1)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        phi_capital_direct(s, 0.5, -1)
     with pytest.raises(ValueError, match="local invariants need order >= 3"):
         local_invariants(series_at(KOEBE, 0.0, 2))
 

@@ -231,7 +231,7 @@ def test_numeric_error_exit_code(capsys):
          "non-finite samples"),
         (["sequence", "--fn", "exp_scale:k=1e300", "--kind", "Psi", "--z", "0"], 1,
          "non-finite samples"),
-        # below the least lambda of the area sum (rows at the end of the table)
+        # below the area sum's least lambda, as are the table's last two rows
         (["area", "--fn", "koebe", "--lambda", "1e-300", "--z", "0"], 1, "lam=1e-300"),
         (["area", "--fn", "bounded:b=0.5", "--lambda", "1e-200"], 1, "lam=1e-200"),
         # a scan makes one engine call per point

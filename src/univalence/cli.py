@@ -28,9 +28,9 @@ SCHEMA_VERSION = 1
 #: number of ``scan --grid`` points, with the reason for its cap.  The recentering
 #: engine's counts stop at 4096 ("engine cost"): past 1024 its samples, and so its
 #: time, grow with the count; Psi_0..Psi_count takes count + 1 of them, so its count
-#: stops at 4095.  A scan makes one engine call per point.  The Grunsky sum always
-#: reads one expansion of 4096 coefficients, and N only picks its partial sum to
-#: n = N, so N stops at the sum's truncation n = 4095.  The counts read from a
+#: stops at 4095.  A scan makes one engine call per point.  The Grunsky sum reads
+#: at most 4096 coefficients, and N only picks its partial sum to n = N, so N
+#: stops at the long sum's truncation n = 4095.  The counts read from a
 #: Taylor series about z stop at 4096 too ("series length"): its coefficients, and
 #: so the output, grow with the count.  ``bounds`` reads its left sides from series
 #: about z, which lose digits.

@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import CatalogFunction, series_at
 from .errors import NormalizationError, UnivalenceError
 from .sequences import aharonov_phi, phi_capital_direct
-from .transforms import _GROWTH, _MIN_SAMPLES, phi_capital_recentered
+from .transforms import _GROWTH, phi_capital_recentered
 
 __all__ = [
     "CriterionReport",
@@ -48,9 +48,9 @@ _EPS_SCAN = 0.05
 #: least error estimate relative to a sum: sums land within 3 eps of closed forms
 _ROUNDOFF = 16 * np.finfo(float).eps
 
-#: coefficients of a first, short read of a long sum: the most that one expansion
-#: at the sample floor gives (four samples per coefficient)
-_SHORT = _MIN_SAMPLES // 4
+#: coefficients of a first, short read of a long sum, from one expansion of 4096
+#: samples (four samples per coefficient)
+_SHORT = 1024
 
 Verdict = Literal["consistent", "violated"]
 
@@ -147,7 +147,8 @@ def _partial_sums(
 def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.ndarray:
     """The partial sums S_1..S_K of ``_partial_sums``: K = 1024 when the second half
     of that short sum, S_1024 - S_512, is at the roundoff of the sum or of K engine
-    terms (the floors of ``_error``), else K = N."""
+    terms (the floors of ``_error``), else K = N.  Both sums of :mod:`univalence.quadrature`,
+    the area integral and the Grunsky norm, read this."""
     S = _partial_sums(fn, lam, zeta, _SHORT)[1]
     total = float(S[-1])
     floor = max(_ROUNDOFF * total, (_GROWTH * _SHORT * np.finfo(float).eps) ** 2)

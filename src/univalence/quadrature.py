@@ -2,13 +2,12 @@
 Grunsky kernel.
 
 Both quantities read the partial sums S_K = sum_{n<=K} (n-lam)|A_n|^2 of the
-recentered coefficients A_n at zeta = z (:func:`univalence.criteria._partial_sums`,
-the routine behind the criterion sum T_N).  The area integral bounded by 1/lam
-is S_K / lam^2, with K = 1024 from 4096 samples when S_1024 - S_512 is at
-roundoff and K = 4096 from 16384 samples otherwise.  The Grunsky norm, always
-read from 4096 coefficients, follows from
-(1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, and Psi_n = A_{n+1} at
-lam = 1, so its sum to n = K is S_{K+1} at lam = 1.  Every term is >= 0, so
+recentered coefficients A_n at zeta = z, the criterion sums T_K, through
+:func:`univalence.criteria._settled_sums`: K = 1024 from 4096 samples
+when S_1024 - S_512 is at roundoff and K = 4096 from 16384 samples otherwise.
+The area integral bounded by 1/lam is S_K / lam^2.  The Grunsky norm follows
+from (1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, and Psi_n = A_{n+1} at
+lam = 1, so its sum to n = K-1 is S_K at lam = 1.  Every term is >= 0, so
 each sum is a lower bound; its tail is extrapolated from the partial sums and
 capped by the univalent budget.  The disk quadratures of both quantities are
 test oracles in :mod:`univalence.oracles`.
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
-from .criteria import _LAM_FLOOR, _error, _partial_sums, _settled_sums
+from .criteria import _LAM_FLOOR, _error, _settled_sums
 from .sequences import aharonov_phi
 from .series import PowerSeries, ps_eval
 
@@ -40,7 +39,7 @@ __all__ = [
 #: series order used for all near-diagonal kernel expansions
 _SERIES_ORDER = 32
 
-#: coefficients A_1..A_4096 of one engine call of 16384 samples
+#: coefficients A_1..A_4096 of the long read, one engine call of 16384 samples
 _COUNT = 4096
 
 
@@ -136,15 +135,15 @@ def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarra
 
 
 def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult, float]:
-    """U_f(z) and the share of its exterior sum beyond n = N, from one engine call."""
+    """U_f(z) and the share of its exterior sum beyond n = N, from one settled sum."""
     if not 32 <= N < _COUNT:
         raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_COUNT - 1}")
     if not fn.flags.univalent_on_disk:
         raise ValueError(f"{fn.label} is not flagged univalent")
     z = complex(z)
     # Psi_n = A_{n+1} at lam = 1, so sum_{n<=K} n|Psi_n|^2 = S_{K+1}
-    S = _partial_sums(fn, 1.0, z, _COUNT)[1]
-    total, lhs = float(S[-1]), float(S[N])
+    S = _settled_sums(fn, 1.0, z, _COUNT)
+    total, lhs = float(S[-1]), float(S[min(N, S.size - 1)])
     omz = 1.0 - abs(z) ** 2
     value = math.sqrt(total) / omz
     # the univalent budget is sum n|Psi_n|^2 <= 1
@@ -155,15 +154,15 @@ def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult,
 
 def grunsky_norm(fn: CatalogFunction, z: complex) -> QuadratureResult:
     """U_f(z), the L2 norm over the disk of the Grunsky kernel at z, as
-    sqrt(sum_{n<=4095} n|Psi_n(f;z)|^2)/(1-|z|^2), that is sqrt(S_4096) at
-    lam = 1 over 1-|z|^2, a lower bound; the tail estimate of the sum goes
-    through the square root."""
+    sqrt(sum_{n<K} n|Psi_n(f;z)|^2)/(1-|z|^2), that is sqrt(S_K) at lam = 1
+    over 1-|z|^2, a lower bound: K = 1024 when S_1024 - S_512 is at roundoff,
+    else 4096.  The tail estimate of the sum goes through the square root."""
     return _grunsky(fn, z, _COUNT - 1)[0]
 
 
 def psi_grunsky_identity_check(fn: CatalogFunction, z: complex, N: int) -> float:
     """Relative residual of sum_{n<=N} n |Psi_n(f;z)|^2 = (1-|z|^2)^2 U_f(z)^2: both
-    sides read the partial sums S at lam = 1 of one engine call, the left side
-    S_{N+1} and the right side S_4096, so this is the share of the sum beyond
-    n = N, normalized by the sum floored at 1e-12."""
+    sides read the settled partial sums S_1..S_K at lam = 1 of ``grunsky_norm``, the
+    left side S_{min(N+1, K)} and the right side S_K, so this is the share of the sum
+    beyond n = N (0 from N = K-1 on), normalized by the sum floored at 1e-12."""
     return _grunsky(fn, z, N)[1]

@@ -3,11 +3,13 @@
 Every subcommand except ``selftest`` runs in JSON and in CSV, plus one
 ``--out`` run and the error cases.  The files under ``tests/golden/`` are
 the recorded transcripts; after a deliberate output change, re-record them
-with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``, which rewrites
+only the transcripts that changed and prints the diff of each.
 Long outputs are pinned by the sha256 of their stdout instead (``DIGESTS``).
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import os
@@ -151,8 +153,18 @@ def test_cached_parser_wraps_usage_at_the_width_of_each_run(monkeypatch):
 
 
 if __name__ == "__main__":
+    # rewrite only the transcripts whose text changed, and print each one's diff
     GOLDEN.mkdir(exist_ok=True)
     only = set(sys.argv[1:])
     for name, argv in CASES.items():
-        if not only or name in only:
-            (GOLDEN / f"{name}.txt").write_text(transcript(argv))
+        if only and name not in only:
+            continue
+        path = GOLDEN / f"{name}.txt"
+        old = path.read_text() if path.exists() else ""
+        new = transcript(argv)
+        if new != old:
+            path.write_text(new)
+            print(f"re-recorded {name}")
+            sys.stdout.writelines(difflib.unified_diff(
+                old.splitlines(keepends=True), new.splitlines(keepends=True),
+                f"a/{path.name}", f"b/{path.name}"))

@@ -147,8 +147,8 @@ def _partial_sums(
 def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.ndarray:
     """The partial sums S_1..S_K of ``_partial_sums``: K = 1024 when the second half
     of that short sum, S_1024 - S_512, is at the roundoff of the sum or of K engine
-    terms (the floors of ``_error``), else K = N.  Both sums of :mod:`univalence.quadrature`,
-    the area integral and the Grunsky norm, read this."""
+    terms (the floors of ``_error``), else K = N.  The area integral and the Grunsky
+    norm of :mod:`univalence.quadrature` both read their sums here."""
     S = _partial_sums(fn, lam, zeta, _SHORT)[1]
     total = float(S[-1])
     floor = max(_ROUNDOFF * total, (_GROWTH * _SHORT * np.finfo(float).eps) ** 2)

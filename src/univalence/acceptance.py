@@ -74,7 +74,7 @@ def check_prawitz_equality() -> AcceptanceResult:
         "prawitz-equality-coefficients",
         ok,
         f"S(1/2,2)={s_half!r} S(1,2)={s_one!r} |S(1/4,4096)-0.25|={abs(s_quarter-0.25):.2e} "
-        f"runtime={elapsed:.2f}s",
+        "(budget 1 s)",
     )
 
 
@@ -101,7 +101,7 @@ def check_three_way_agreement() -> AcceptanceResult:
         "phi-three-way-agreement",
         ok,
         f"direct-vs-enumeration max={worst:.2e} lam=1 shift max={worst_shift:.2e} "
-        f"runtime={elapsed:.2f}s",
+        "(budget 5 s)",
     )
 
 
@@ -175,7 +175,7 @@ def check_duality() -> AcceptanceResult:
     return AcceptanceResult(
         "coefficient-integral-duality",
         ok,
-        "; ".join(details) + f" runtime={elapsed:.1f}s",
+        "; ".join(details) + " (budget 30 s)",
     )
 
 
@@ -341,11 +341,13 @@ CHECKS: tuple[tuple[str, Callable[[], AcceptanceResult]], ...] = (
 
 
 def run_all() -> list[AcceptanceResult]:
-    """Run every acceptance check, printing one PASS/FAIL line each."""
+    """Run every acceptance check, printing one PASS/FAIL line each with its runtime."""
     results = []
     for number, fn in CHECKS:
+        t0 = time.perf_counter()
         res = fn()
+        elapsed = time.perf_counter() - t0
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status} [{number}] {res.name}: {res.detail}")
+        print(f"{status} [{number}] {res.name}: {res.detail} ({elapsed:.2f}s)")
     return results

@@ -60,6 +60,7 @@ __all__ = [
     "compose_with_automorphism",
     "lemma2_coefficients",
     "criterion_terms",
+    "exact_quad_poly_coefficients",
     "exact_quad_poly_sum",
     "phi_capital_combinatorial",
     "check_phi_recurrence",
@@ -252,21 +253,33 @@ def criterion_terms(
     return lemma2_coefficients(Phi, zeta, 0.0, N)[1:]
 
 
-def exact_quad_poly_sum(a, zeta, N: int) -> Fraction:
-    """T_N = sum_{n<=N} (n - 1/2) A_n^2 at lam = 1/2 for quad_poly with real
-    rational ``a`` and ``zeta``, exactly.
+def exact_quad_poly_coefficients(a, zeta, lam, N: int) -> list[Fraction]:
+    """A_0..A_N at rational ``lam`` for quad_poly with real rational ``a`` and
+    ``zeta``, exactly.
 
     Pulled back by sigma_zeta, f(w) = w + a w^2 has
     q(w) = (1 + zeta w)^2 / (1 + c w) with c = (a + zeta + a zeta^2)/(1 + 2 a zeta),
-    so q^(1/2) = (1 + zeta w)(1 + c w)^(-1/2) and A_n = v_n + zeta v_(n-1) with
-    v_n = binom(-1/2, n) c^n, all real.
+    so q^lam = (1 + zeta w)^(2 lam) (1 + c w)^(-lam) and
+    A_n = sum_k binom(2 lam, k) zeta^k binom(-lam, n-k) c^(n-k), all real.
     """
-    a, zeta = Fraction(a), Fraction(zeta)
+    a, zeta, lam = Fraction(a), Fraction(zeta), Fraction(lam)
     c = (a + zeta + a * zeta**2) / (1 + 2 * a * zeta)
-    v = [Fraction(1)]
-    for n in range(1, N + 1):
-        v.append(v[-1] * (Fraction(1, 2) - n) / n * c)
-    return sum((n - Fraction(1, 2)) * (v[n] + zeta * v[n - 1]) ** 2 for n in range(1, N + 1))
+    # binom(2 lam, k) zeta^k, up to the first zero (an integer 2 lam or zeta = 0)
+    u = [Fraction(1)]
+    while len(u) <= N and u[-1]:
+        k = len(u)
+        u.append(u[-1] * (2 * lam - k + 1) / k * zeta)
+    v = [Fraction(1)]  # binom(-lam, m) c^m
+    for m in range(1, N + 1):
+        v.append(v[-1] * (-lam - m + 1) / m * c)
+    return [sum(u[k] * v[n - k] for k in range(min(n + 1, len(u)))) for n in range(N + 1)]
+
+
+def exact_quad_poly_sum(a, zeta, N: int) -> Fraction:
+    """T_N = sum_{n<=N} (n - 1/2) A_n^2 at lam = 1/2 for quad_poly with real
+    rational ``a`` and ``zeta``, exactly, from :func:`exact_quad_poly_coefficients`."""
+    A = exact_quad_poly_coefficients(a, zeta, Fraction(1, 2), N)
+    return sum((n - Fraction(1, 2)) * A[n] ** 2 for n in range(1, N + 1))
 
 
 # --------------------------------------------------------------------------

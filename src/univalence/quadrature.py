@@ -76,7 +76,7 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
     of that short sum is at roundoff, else K = 4096 from a second engine call
     (:func:`univalence.criteria._settled_sums`).  Every term is >= 0 for
     lam <= 1, so the value is a lower bound; the error estimate is the sum's
-    extrapolated tail, at most 1/lam less the value.
+    extrapolated tail, at most 1/lam less the value rounded up by one ulp.
     Refused for lam below ``criteria._LAM_FLOOR``, about 9.1e-10, where that tail
     is under roundoff, and for entries not flagged univalent, whose integrand is
     singular where values collide.
@@ -93,8 +93,13 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
             "singular where values collide"
         )
     S = _settled_sums(fn, lam, z, _COUNT)
-    # the criterion's budget is sum (n-lam)|A_n|^2 <= lam
-    return QuadratureResult(value=float(S[-1]) / lam**2, error_estimate=_error(S, lam) / lam**2)
+    value, err = float(S[-1]) / lam**2, _error(S, lam)
+    # the criterion's budget is sum (n-lam)|A_n|^2 <= lam.  A tail capped at the gap
+    # lam - S is the gap in the integral's own units, 1/lam - value, rounded up so that
+    # value + error_estimate reaches 1/lam in floating point
+    capped = err == lam - float(S[-1])
+    err = math.nextafter(1.0 / lam - value, math.inf) if capped else err / lam**2
+    return QuadratureResult(value=value, error_estimate=err)
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """The recentered coefficients of a disk-automorphism pullback.
 
 ``phi_capital_recentered`` samples the generating function of the pullback
-f o sigma_zeta on a circle (closed-form point evaluation, branch fixed by
-the mean-value property) and recovers Taylor coefficients by discrete Fourier
-inversion.  It is the one route for the recentered coefficients at every
-zeta, the origin included, and so the engine behind the area sums, the
-criterion sums and the Psi sequence.  Its sampling follows from the count N
-alone: the first radius keeps rho^-N <= 100 (the roundoff amplification of
-the highest coefficient), and the sample count is a power of two >= 4N, at
-least 4096.  The literal recentering sum and truncated-series composition
-are kept as reference routes in :mod:`univalence.oracles`.
+f o sigma_zeta on a circle (closed-form point evaluation; at lam = 1 the quotient
+itself, else its power on the branch fixed by the mean-value property) and
+recovers Taylor coefficients by discrete Fourier inversion.  It is the one
+route for the recentered coefficients at every zeta, the origin included, and
+so the engine behind the area sums, the criterion sums and the Psi sequence.
+Its sampling follows from the count N alone: the first radius keeps
+rho^-N <= 100 (the roundoff amplification of the highest coefficient), and the
+sample count is a power of two >= 4N, at least 4096.  The literal recentering
+sum and truncated-series composition are reference routes in :mod:`univalence.oracles`.
 """
 
 from __future__ import annotations
@@ -63,13 +63,13 @@ def phi_capital_recentered(
 ) -> np.ndarray:
     """Phi_{lam,0..count}(f o sigma_zeta; 0) by circle sampling and FFT.
 
-    Samples q(w) = F'(0) w / (F(w) - F(0)) with F = f o sigma_zeta on a
-    circle |w| = rho using closed-form point values, takes the lam-th power
-    on the branch with log q(0) = 0, and inverts the discrete Fourier
-    transform.  Falls back to smaller rho when the circle crosses or encloses
-    a zero of q, which happens for non-univalent f, when the power is larger
-    than a double resolves to the 1e-8 of the Phi_0 check, or when the
-    coefficients leave the double range.
+    Samples q(w) = F'(0) w / (F(w) - F(0)) with F = f o sigma_zeta (f itself at
+    zeta = 0) on a circle |w| = rho using closed-form point values, takes the
+    lam-th power on the branch with log q(0) = 0 (no branch at lam = 1; |q|^lam
+    from |F(w) - F(0)|), and inverts the discrete Fourier transform.  Falls back
+    to smaller rho when the circle crosses or encloses a zero of q (non-univalent
+    f), when the power is larger than a double resolves to the 1e-8 of the Phi_0
+    check, or when the coefficients leave the double range.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -119,9 +119,9 @@ def _unwrap(p: np.ndarray) -> None:
 def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     """Coefficients 0..count from ``samples`` points on |w| = rho, or None and the reason."""
     w = rho * _roots(samples)
-    sig = (w + zeta) / (1.0 + np.conj(zeta) * w)
-    dq = fn.f(sig) - fz
-    if not np.all(np.isfinite(dq.real) & np.isfinite(dq.imag)):
+    # sigma_0 is the identity
+    dq = fn.f(w if zeta == 0 else (w + zeta) / (1.0 + np.conj(zeta) * w)) - fz
+    if not np.isfinite(dq).all():
         return None, f"non-finite samples at rho={rho}"
     adq = np.abs(dq)
     dq_min, dq_max = float(np.min(adq)), max(1.0, float(np.max(adq)))
@@ -139,12 +139,17 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     winding = (loop[-1] - loop[0]) / (2.0 * np.pi)
     if abs(winding) > 0.25:
         return None, f"winding {winding:.2f} at rho={rho} (zero of q enclosed)"
-    # no winding: log q is analytic on |w| <= rho with log q(0) = 0, so by the
-    # mean-value property the continuous argument of q averages to 0 on the circle
-    phase = loop[:-1]
-    phase -= 2.0 * np.pi * np.round(np.mean(phase) / (2.0 * np.pi))
-
-    H = np.exp(lam * (np.log(np.abs(q)) + 1j * phase))
+    if lam == 1.0:
+        H = q  # q^1 takes no branch
+    else:
+        # no winding: log q is analytic on |w| <= rho with log q(0) = 0, so by the
+        # mean-value property the continuous argument of q averages to 0 on the circle
+        turns = np.round(np.mean(loop[:-1]) / (2.0 * np.pi))
+        phase = lam * (loop[:-1] - 2.0 * np.pi * turns)
+        # |q|^lam = exp(lam (log(|deriv0| rho) - log|dq|)), one real log and one real exp
+        mod = np.exp(lam * (np.log(abs(deriv0) * rho) - np.log(adq)))
+        H = np.empty(samples, dtype=complex)
+        H.real, H.imag = mod * np.cos(phase), mod * np.sin(phase)
     out = np.fft.fft(H)[: count + 1] / samples / rho ** np.arange(count + 1)
     if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
         return None, f"non-finite coefficients at rho={rho}"

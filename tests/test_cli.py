@@ -347,7 +347,7 @@ def test_selftest_passes(capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "CHECKS", (passing,))
     code, out, _ = _capture(capsys, ["selftest"])
     assert code == 0
-    assert out == "PASS [0] always-passes: forced\n"
+    assert re.fullmatch(r"PASS \[0\] always-passes: forced \(\d+\.\d\ds\)\n", out)
 
 
 def test_selftest_fails_on_a_failing_check(capsys, monkeypatch):

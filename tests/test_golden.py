@@ -5,7 +5,8 @@ Every subcommand except ``selftest`` runs in JSON and in CSV, plus one
 the recorded transcripts; after a deliberate output change, re-record them
 with ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``, which rewrites
 only the transcripts that changed and prints the diff of each.
-Long outputs are pinned by the sha256 of their stdout instead (``DIGESTS``).
+Long outputs are pinned by the sha256 of their stdout instead (``DIGESTS``);
+the same command prints the old and new value of each digest that moved.
 """
 
 import contextlib
@@ -119,10 +120,15 @@ def test_golden_transcript(name):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_long_output_digest(name):
     argv, want = DIGESTS[name]
+    assert digest(argv) == want
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of the stdout of one successful run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 # The parser is built once per process; these runs share it.
@@ -168,3 +174,9 @@ if __name__ == "__main__":
             sys.stdout.writelines(difflib.unified_diff(
                 old.splitlines(keepends=True), new.splitlines(keepends=True),
                 f"a/{path.name}", f"b/{path.name}"))
+    # the digests are pinned in this file: print each one that moved, to re-pin by hand
+    for name, (argv, want) in DIGESTS.items():
+        if not only or name in only:
+            got = digest(argv)
+            if got != want:
+                print(f"moved digest {name}: {want} -> {got}")

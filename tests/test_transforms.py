@@ -1,6 +1,7 @@
 """Automorphism pullbacks and the recentering routes."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from univalence.catalog import from_spec, get, list_catalog, series_at
 from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
 from univalence.series import ps_eval
-from univalence.oracles import compose_with_automorphism, gen_binomial, lemma2_coefficients
+from univalence.oracles import (
+    compose_with_automorphism,
+    exact_quad_poly_coefficients,
+    gen_binomial,
+    lemma2_coefficients,
+)
 from univalence import transforms
 from univalence.transforms import phi_capital_recentered
 
@@ -246,10 +252,12 @@ def test_recentered_engine_koebe_long_count_at_origin(lam):
     assert np.max(np.abs(A - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0])
 @pytest.mark.parametrize("count", [1500, 4096])
-def test_recentered_engine_is_one_whole_circle_transform(count):
-    # the engine against an independent reconstruction with np.unwrap
-    fn, zeta, lam = get("rotated_koebe", theta=2.0), 0.2 - 0.15j, 0.5
+def test_recentered_engine_is_one_whole_circle_transform(count, lam):
+    # the engine against the literal exp(lam log q) with np.unwrap; at lam = 1 the
+    # engine transforms q itself
+    fn, zeta = get("rotated_koebe", theta=2.0), 0.2 - 0.15j
     A = phi_capital_recentered(fn, zeta, lam, count)
     radii, M = transforms._sampling(count)
     rho = radii[0]
@@ -260,6 +268,16 @@ def test_recentered_engine_is_one_whole_circle_transform(count):
     want = np.fft.fft(H)[: count + 1] / M / rho ** np.arange(count + 1)
     assert M > 4096
     assert np.max(np.abs(A - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("zeta", [Fraction(0), Fraction(3, 10), Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("a", [Fraction(3, 10), Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1, 2), Fraction(1)], ids=str)
+def test_recentered_engine_matches_exact_quad_poly_coefficients(lam, a, zeta):
+    # both branches of the power (lam = 1 and not) and the origin's sampling of f itself
+    A = phi_capital_recentered(get("quad_poly", a=float(a)), float(zeta), float(lam), 96)
+    want = np.array([float(x) for x in exact_quad_poly_coefficients(a, zeta, lam, 96)])
+    assert np.max(np.abs(A - want)) <= 1e-14
 
 
 def test_roots_are_built_once_per_sample_count():

@@ -252,8 +252,11 @@ def test_recentered_engine_koebe_long_count_at_origin(lam):
     assert np.max(np.abs(A - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0])
-@pytest.mark.parametrize("count", [1500, 4096])
+@pytest.mark.parametrize(
+    "count,lam",
+    [(1500, 0.5), (4096, 0.5), (1500, 1.0), (4096, 1.0)],
+    ids=["1500", "4096", "1500-lam=1", "4096-lam=1"],
+)
 def test_recentered_engine_is_one_whole_circle_transform(count, lam):
     # the engine against the literal exp(lam log q) with np.unwrap; at lam = 1 the
     # engine transforms q itself

@@ -173,19 +173,19 @@ def test_recentered_engine_rejects_critical_point():
     "spec,zeta,lam,N,last,T",
     [
         ("koebe", 0.3 + 0.1j, 0.5, 16,
-         -1.3554424776457047e-11 + 7.794055745884012e-12j, 0.5),
+         -1.3554425208034571e-11 + 7.794051522388077e-12j, 0.5000000000000003),
         ("rotated_koebe:theta=1.1", -0.435 - 0.116j, 0.5, 89,
-         1.334819936610378e-13 + 5.883910862525921e-14j, 0.4999999999999999),
+         1.3368514264095043e-13 + 5.893550671021661e-14j, 0.4999999999999999),
         ("exp_scale:k=6", -0.3j, 0.5, 8,
-         -0.08706454174218983 - 0.5063463848811692j, 7.528692699135718),
+         -0.08706454174218982 - 0.5063463848811692j, 7.528692699135718),
         ("cayley", 0.2 - 0.15j, 1.7, 40,
-         -1.269545647816738e-05 - 1.536121882131998e-05j, -1.910851081775129),
+         -1.2695456478212324e-05 - 1.536121882127737e-05j, -1.9108510817751276),
         ("bounded:b=0.5", -0.2 + 0.3j, 0.7, 89,
-         -3.550536263568598e-16 + 1.3425172882941642e-16j, 0.07300016103526788),
+         -2.5599096227743716e-16 - 1.6672120238558596e-16j, 0.07300016103526788),
         ("rotated_koebe:theta=2", 0.2 - 0.15j, 0.5, 1000,
-         1.5345360105501294e-16 - 6.261745157268561e-16j, 0.5000000000000001),
+         3.836527604103566e-17 - 3.314575973634448e-16j, 0.5000000000000001),
         ("exp_scale:k=3", 0.6j, 1.0, 1024,
-         2.6156377411211568e-15 + 2.8934645478205543e-15j, 0.5088911521474094),
+         -3.1441863002078154e-16 + 9.215718466126355e-17j, 0.5088911521474094),
     ],
 )
 def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):

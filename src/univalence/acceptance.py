@@ -2,8 +2,9 @@
 
 Each check returns an :class:`AcceptanceResult` with a pass flag and a short
 detail string.  The pytest suite asserts each check individually and the CLI
-``selftest`` subcommand runs the same list, printing one line per check, so
-the shipped package can prove itself outside the test tree.
+``selftest`` subcommand runs the same list, both through :func:`run_check`,
+which times each check, fails it past its time budget and prints one line per
+check, so the shipped package can prove itself outside the test tree.
 
 Expected values are closed forms (the slit mapping forces equality in the
 area sums) or were computed once from the independent oracle noted next to
@@ -22,7 +23,7 @@ import numpy as np
 from . import catalog, criteria, oracles, quadrature, sequences, transforms
 from .errors import NotLocallyUnivalentError
 
-__all__ = ["AcceptanceResult", "CHECKS", "run_all"]
+__all__ = ["AcceptanceResult", "BUDGETS", "CHECKS", "run_all", "run_check"]
 
 
 @dataclass(frozen=True)
@@ -59,28 +60,23 @@ def _zgrid_cartesian() -> list[complex]:
 def check_prawitz_equality() -> AcceptanceResult:
     """Coefficient-route area sums for the slit mapping hit the budget exactly."""
     k = catalog.get("koebe")
-    t0 = time.perf_counter()
     s_half = criteria.prawitz_sum_s(k, 0.5, 2)
     s_one = criteria.prawitz_sum_s(k, 1.0, 2)
     s_quarter = criteria.prawitz_sum_s(k, 0.25, 4096)
-    elapsed = time.perf_counter() - t0
     ok = (
         abs(s_half - 0.5) <= 1e-12
         and abs(s_one - 1.0) <= 1e-12
         and abs(s_quarter - 0.25) <= 1e-4
-        and elapsed < 1.0
     )
     return AcceptanceResult(
         "prawitz-equality-coefficients",
         ok,
-        f"S(1/2,2)={s_half!r} S(1,2)={s_one!r} |S(1/4,4096)-0.25|={abs(s_quarter-0.25):.2e} "
-        "(budget 1 s)",
+        f"S(1/2,2)={s_half!r} S(1,2)={s_one!r} |S(1/4,4096)-0.25|={abs(s_quarter-0.25):.2e}",
     )
 
 
 def check_three_way_agreement() -> AcceptanceResult:
     """Power route, tuple enumeration, and the shifted phi sequence agree."""
-    t0 = time.perf_counter()
     worst = 0.0
     worst_shift = 0.0
     for fn in catalog.list_catalog():
@@ -95,13 +91,11 @@ def check_three_way_agreement() -> AcceptanceResult:
             worst_shift = max(
                 worst_shift, float(np.max(np.abs(d1.values[1:] - phi.values[:10])))
             )
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and worst_shift <= 1e-9 and elapsed < 5.0
+    ok = worst <= 1e-9 and worst_shift <= 1e-9
     return AcceptanceResult(
         "phi-three-way-agreement",
         ok,
-        f"direct-vs-enumeration max={worst:.2e} lam=1 shift max={worst_shift:.2e} "
-        "(budget 5 s)",
+        f"direct-vs-enumeration max={worst:.2e} lam=1 shift max={worst_shift:.2e}",
     )
 
 
@@ -160,7 +154,6 @@ def check_recurrence_residual() -> AcceptanceResult:
 def check_duality() -> AcceptanceResult:
     """Scaled quadrature integral equals scaled coefficient sum (both sides tend to 1)."""
     k = catalog.get("koebe")
-    t0 = time.perf_counter()
     details = []
     ok = True
     for lam in (0.5, 1.0):
@@ -170,13 +163,7 @@ def check_duality() -> AcceptanceResult:
         allow = 5e-3 + lam * r.error_estimate
         ok = ok and diff <= allow
         details.append(f"lam={lam}: |lam*I - S/lam|={diff:.2e} (allow {allow:.2e})")
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 30.0
-    return AcceptanceResult(
-        "coefficient-integral-duality",
-        ok,
-        "; ".join(details) + " (budget 30 s)",
-    )
+    return AcceptanceResult("coefficient-integral-duality", ok, "; ".join(details))
 
 
 def check_grunsky_equality() -> AcceptanceResult:
@@ -340,14 +327,24 @@ CHECKS: tuple[tuple[str, Callable[[], AcceptanceResult]], ...] = (
 )
 
 
+#: the time budgets in seconds of the checks that have one
+BUDGETS = {"1": 1.0, "2": 5.0, "6": 30.0}
+
+
+def run_check(number: str, fn: Callable[[], AcceptanceResult]) -> AcceptanceResult:
+    """Run check ``number`` and print its PASS/FAIL line with its runtime; a check
+    that takes its whole budget in ``BUDGETS`` fails."""
+    t0 = time.perf_counter()
+    res = fn()
+    elapsed = time.perf_counter() - t0
+    budget = BUDGETS.get(number, float("inf"))
+    if not elapsed < budget:
+        res = AcceptanceResult(res.name, False, f"{res.detail}; over its {budget:g} s budget")
+    status = "PASS" if res.passed else "FAIL"
+    print(f"{status} [{number}] {res.name}: {res.detail} ({elapsed:.2f}s)")
+    return res
+
+
 def run_all() -> list[AcceptanceResult]:
     """Run every acceptance check, printing one PASS/FAIL line each with its runtime."""
-    results = []
-    for number, fn in CHECKS:
-        t0 = time.perf_counter()
-        res = fn()
-        elapsed = time.perf_counter() - t0
-        results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} [{number}] {res.name}: {res.detail} ({elapsed:.2f}s)")
-    return results
+    return [run_check(number, fn) for number, fn in CHECKS]

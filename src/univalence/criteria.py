@@ -164,9 +164,9 @@ def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.
 _LAM_FLOOR = 10 * _GROWTH * 4096 * np.finfo(float).eps
 
 
-def _error(partial: np.ndarray, budget: float) -> float:
-    """The error of a sum of terms >= 0 from its ``partial`` sums S_1..S_K: the
-    tail, at most ``budget`` less the sum and at least the sum's roundoff.
+def _error(partial: np.ndarray, budget: float) -> tuple[float, bool]:
+    """The error of a sum of terms >= 0 from its ``partial`` sums S_1..S_K, and whether
+    it is capped: the tail, at most ``budget`` less the sum, at least the sum's roundoff.
 
     D1 = S_{K/2} - S_{K/4} and D2 = S_K - S_{K/2} fall by r = D2/D1 per doubling
     of K for an algebraic tail, which is then D2 r/(1 - r).  There is no tail if
@@ -184,7 +184,8 @@ def _error(partial: np.ndarray, budget: float) -> float:
         tail = float(d2 * r / (1.0 - r))
     else:
         tail = budget - total
-    return float(max(min(tail, budget - total), _ROUNDOFF * total))
+    err = float(max(min(tail, budget - total), _ROUNDOFF * total))
+    return err, err == budget - total
 
 
 def univalence_criterion(

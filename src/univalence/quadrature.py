@@ -93,11 +93,10 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
             "singular where values collide"
         )
     S = _settled_sums(fn, lam, z, _COUNT)
-    value, err = float(S[-1]) / lam**2, _error(S, lam)
+    value, (err, capped) = float(S[-1]) / lam**2, _error(S, lam)
     # the criterion's budget is sum (n-lam)|A_n|^2 <= lam.  A tail capped at the gap
     # lam - S is the gap in the integral's own units, 1/lam - value, rounded up so that
     # value + error_estimate reaches 1/lam in floating point
-    capped = err == lam - float(S[-1])
     err = math.nextafter(1.0 / lam - value, math.inf) if capped else err / lam**2
     return QuadratureResult(value=value, error_estimate=err)
 
@@ -152,7 +151,7 @@ def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult,
     omz = 1.0 - abs(z) ** 2
     value = math.sqrt(total) / omz
     # the univalent budget is sum n|Psi_n|^2 <= 1
-    err = math.sqrt(total + _error(S, 1.0)) / omz - value
+    err = math.sqrt(total + _error(S, 1.0)[0]) / omz - value
     residual = (total - lhs) / max(1e-12, total)
     return QuadratureResult(value=value, error_estimate=err), residual
 

@@ -130,7 +130,7 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     # |q| = |deriv0| rho / |dq| on the circle, largest where |dq| is least
     if lam * float(np.log(abs(deriv0) * rho / dq_min)) > _POWER_LOG:
         return None, f"the lam-th power of q exceeds what a double resolves at rho={rho}"
-    q = deriv0 * w / dq
+    q = w * (deriv0 / dq)
 
     loop = np.empty(samples + 1)  # arg q around the circle, closed by its first point
     loop[:-1] = np.angle(q)

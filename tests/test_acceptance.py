@@ -6,12 +6,10 @@ the same checks back the ``univalence selftest`` CLI subcommand.
 
 import pytest
 
-from univalence.acceptance import CHECKS
+from univalence.acceptance import CHECKS, run_check
 
 
 @pytest.mark.parametrize("number,check", CHECKS, ids=[f"{n}-{c.__name__}" for n, c in CHECKS])
 def test_acceptance_criterion(number, check):
-    result = check()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} [{number}] {result.name}: {result.detail}")
+    result = run_check(number, check)
     assert result.passed, f"[{number}] {result.name}: {result.detail}"

@@ -350,6 +350,17 @@ def test_selftest_passes(capsys, monkeypatch):
     assert re.fullmatch(r"PASS \[0\] always-passes: forced \(\d+\.\d\ds\)\n", out)
 
 
+def test_selftest_fails_a_check_past_its_time_budget(capsys, monkeypatch):
+    from univalence import acceptance
+
+    passing = ("0", lambda: acceptance.AcceptanceResult("always-passes", True, "forced"))
+    monkeypatch.setattr(acceptance, "CHECKS", (passing,))
+    monkeypatch.setattr(acceptance, "BUDGETS", {"0": 0.0})
+    code, out, _ = _capture(capsys, ["selftest"])
+    assert code == 1
+    assert re.fullmatch(r"FAIL \[0\] always-passes: forced; over its 0 s budget \(\d+\.\d\ds\)\n", out)
+
+
 def test_selftest_fails_on_a_failing_check(capsys, monkeypatch):
     from univalence import acceptance
 

@@ -76,13 +76,13 @@ DIGESTS = {
     "series_csv": (["series", "--fn", "koebe", "--z", "0.3+0.1i", "--count", "1000", "--format", "csv"],
                    "a9218a7eaf3d138b859cb27c633b184635b37f60729b35d038cb06a8e0b4ea9f"),
     "criterion_json": (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "1000"],
-                       "f272117855a262b5facc2095bb623d3d563b3b60e400028f8b49c4269b691729"),
+                       "05c6f2c87e33ff2e05ea420de41e568ad6ff61942b9186de426e4080d5d7deea"),
     "criterion_csv": (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "1000",
                        "--format", "csv"],
-                      "e78569c743f99292e211b8a4948efb369baed4391d061d09183b91442de106e1"),
+                      "a243200675775ad50600addcce8cf17e245e8cceee55f6a2f7cf240784237d72"),
     "scan_json": (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "0,0.3,0.6x8", "--N", "96",
                    "--format", "json"],
-                  "4124b7392696369c2ba63db631369985acba821cc9a2079c9e73836dbd2ebc09"),
+                  "e89131e49f86cb967ca5eacc13fdaa942320cd6f54b21ceec2299d761038b0fc"),
     "bounds_json": (["bounds", "--fn", "koebe", "--lambda", "0.3", "--z", "0.2", "--N", "200"],
                     "cac97c3c17813c49ad0f5258eef64afbbd213937e8c5576cae04e158a5120603"),
     "bounds_csv": (["bounds", "--fn", "koebe", "--lambda", "0.3", "--z", "0.2", "--N", "200",

@@ -173,19 +173,19 @@ def test_recentered_engine_rejects_critical_point():
     "spec,zeta,lam,N,last,T",
     [
         ("koebe", 0.3 + 0.1j, 0.5, 16,
-         -1.3554425208034571e-11 + 7.794051522388077e-12j, 0.5000000000000003),
+         -1.3554423098664325e-11 + 7.79405244668255e-12j, 0.5000000000000003),
         ("rotated_koebe:theta=1.1", -0.435 - 0.116j, 0.5, 89,
-         1.3368514264095043e-13 + 5.893550671021661e-14j, 0.4999999999999999),
+         1.339984756308693e-13 + 5.932079271303133e-14j, 0.4999999999999999),
         ("exp_scale:k=6", -0.3j, 0.5, 8,
          -0.08706454174218982 - 0.5063463848811692j, 7.528692699135718),
         ("cayley", 0.2 - 0.15j, 1.7, 40,
-         -1.2695456478212324e-05 - 1.536121882127737e-05j, -1.9108510817751276),
+         -1.2695456478164958e-05 - 1.5361218821277725e-05j, -1.9108510817751276),
         ("bounded:b=0.5", -0.2 + 0.3j, 0.7, 89,
-         -2.5599096227743716e-16 - 1.6672120238558596e-16j, 0.07300016103526788),
+         -4.1014037017337957e-16 - 2.6313094904337956e-16j, 0.07300016103526788),
         ("rotated_koebe:theta=2", 0.2 - 0.15j, 0.5, 1000,
-         3.836527604103566e-17 - 3.314575973634448e-16j, 0.5000000000000001),
+         -3.4990092345629003e-17 - 4.373832691455948e-16j, 0.5000000000000001),
         ("exp_scale:k=3", 0.6j, 1.0, 1024,
-         -3.1441863002078154e-16 + 9.215718466126355e-17j, 0.5088911521474094),
+         -2.1955093992830434e-16 - 2.5749801596529522e-17j, 0.5088911521474094),
     ],
 )
 def test_recentered_engine_short_counts_are_pinned(spec, zeta, lam, N, last, T):

@@ -68,8 +68,9 @@ CASES = {
 }
 
 #: sha256 of stdout for outputs too long to keep as transcripts.  The criterion terms
-#: past n = 1 are roundoff of the engine's FFT, so their last digits, and with them
-#: these two digests, may differ under another numpy's pocketfft.
+#: past n = 1, and the Koebe Psi_n past n = 1, are roundoff of the engine's FFT, so
+#: their last digits, and with them these four digests, may differ under another
+#: numpy's pocketfft.
 DIGESTS = {
     "series_json": (["series", "--fn", "koebe", "--z", "0.3+0.1i", "--count", "1000"],
                     "a3efa079661d897a1ecbb509dfa6a5ac166207660308abeb8bbc492f95b8fa22"),
@@ -80,6 +81,11 @@ DIGESTS = {
     "criterion_csv": (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0.3", "--N", "1000",
                        "--format", "csv"],
                       "a243200675775ad50600addcce8cf17e245e8cceee55f6a2f7cf240784237d72"),
+    "sequence_Psi_json": (["sequence", "--fn", "koebe", "--kind", "Psi", "--z", "0.5", "--count", "1000"],
+                          "abd3faf0493e7548ce70acbe26fee142bc1f0a5925f0f32cbf9296436d8c44ba"),
+    "sequence_Psi_csv": (["sequence", "--fn", "koebe", "--kind", "Psi", "--z", "0.5", "--count", "1000",
+                          "--format", "csv"],
+                         "1bc876624a88bb42d187858eafd6e7322a57f635a87735c4781c0ce22ccb4dcd"),
     "scan_json": (["scan", "--fn", "koebe", "--lambda", "0.5", "--grid", "0,0.3,0.6x8", "--N", "96",
                    "--format", "json"],
                   "e89131e49f86cb967ca5eacc13fdaa942320cd6f54b21ceec2299d761038b0fc"),

@@ -3,9 +3,11 @@
 Output is deterministic for a fixed configuration: stable field order, floats
 rendered with 17 significant digits, complex numbers as {re, im} pairs.
 Each subcommand builds one JSON payload; its CSV table is derived from that
-payload.  Exit codes: 0 success, 1 numeric failure (with its analytic meaning in the
-message), 2 configuration error naming the offending flag, 141 when the reader
-closes stdout early.
+payload.  Each coefficient array stays a complex numpy array in the payload
+and renders in one formatting pass: its per-element template, repeated, is
+filled by a single ``%`` over all its parts.  Exit codes: 0 success, 1 numeric
+failure (with its analytic meaning in the message), 2 configuration error naming
+the offending flag, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import functools
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import catalog, criteria, quadrature, sequences, transforms
 from .errors import ConfigError, UnivalenceError
@@ -58,8 +62,18 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _parts(arr: np.ndarray) -> tuple[float, ...]:
+    """Real and imaginary parts of a complex array, interleaved; adding 0.0 turns
+    negative zero into zero as :func:`_fmt` does, and ``'%.17g' % x`` equals
+    ``format(x, '.17g')``."""
+    return tuple((arr + 0.0).view(float).tolist())
+
+
 def _render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(obj, np.ndarray):  # a list of complex numbers, rendered at once
+        item = f'{pad}  {{\n{pad}    "re": %.17g,\n{pad}    "im": %.17g\n{pad}  }}'
+        return "[\n" + ",\n".join([item] * obj.size) % _parts(obj) + f"\n{pad}]"
     if isinstance(obj, dict):
         items = [
             f'{pad}  "{key}": {_render_json(val, indent + 1)}'
@@ -92,11 +106,9 @@ class _Rows:
     start: int = 0
 
 
-def _csv_cells(item) -> list[tuple[str, object]]:
-    """(column, value) pairs of one CSV row: a complex row gives columns re and im,
-    a dict row one column per key and two, name_re and name_im, per complex value."""
-    if isinstance(item, complex):
-        return [("re", item.real), ("im", item.imag)]
+def _csv_cells(item: dict) -> list[tuple[str, object]]:
+    """(column, value) pairs of one CSV row: one column per key and two, name_re
+    and name_im, per complex value."""
     cells = []
     for name, value in item.items():
         if isinstance(value, complex):
@@ -108,7 +120,14 @@ def _csv_cells(item) -> list[tuple[str, object]]:
 
 def _render_csv(payload: dict, table) -> str:
     """CSV view of ``payload``: ``table`` is a :class:`_Rows` shape, or a tuple
-    of scalar keys rendered as a single row."""
+    of scalar keys rendered as a single row.  A complex array gives columns re
+    and im, rendered at once."""
+    if isinstance(table, _Rows) and isinstance(arr := payload[table.key], np.ndarray):
+        if table.index:
+            indices = range(table.start, table.start + arr.size)
+            rows = "".join([f"{i},%.17g,%.17g\n" for i in indices])
+            return f"{table.index},re,im\n" + rows % _parts(arr)
+        return "re,im\n" + "%.17g,%.17g\n" * arr.size % _parts(arr)
     if isinstance(table, _Rows):
         rows = [
             ([(table.index, i)] if table.index else []) + _csv_cells(item)
@@ -283,7 +302,7 @@ def _cmd_series(args, fn):
     body = {
         "center": s.center,
         "order": s.order,
-        "coeffs": s.coeffs.tolist(),
+        "coeffs": s.coeffs,
     }
     return body, _Rows("coeffs", "k")
 
@@ -300,7 +319,7 @@ def _cmd_sequence(args, fn):
     body = {
         "kind": args.kind,
         "z": args.z,
-        "values": values.tolist(),
+        "values": values,
     }
     if args.kind == "Phi":
         body["lambda"] = args.lam
@@ -318,7 +337,7 @@ def _cmd_criterion(args, fn):
         "margin": rep.margin,
         "sup_abs_term": rep.sup_abs_term,
         "verdict": rep.verdict,
-        "terms": rep.terms.tolist(),
+        "terms": rep.terms,
     }
     return body, _Rows("terms", "n", start=1)
 

@@ -10,9 +10,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import univalence
-from univalence.cli import _parse_grid, _render_json, run
+from univalence.cli import _Rows, _parse_grid, _render_csv, _render_json, run
 from univalence.errors import ConfigError
 
 
@@ -80,6 +81,69 @@ def test_scan_json_format(capsys):
     payload = json.loads(out)
     assert payload["full_mapping_consistent"] is True
     assert len(payload["rows"]) == 4
+
+
+# ---------------------------------------------------------------- array rendering
+
+
+def _fmt_loop(x):
+    # one format call per number, negative zero canonicalized
+    x = float(x)
+    return format(0.0 if x == 0.0 else x, ".17g")
+
+
+def _json_loop(obj, indent):
+    # the per-number JSON renderer of a list of complex numbers, kept as the reference
+    # for the array path
+    pad = "  " * indent
+    if isinstance(obj, list):
+        items = [f"{pad}  {_json_loop(val, indent + 1)}" for val in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return f'{{\n{pad}  "re": {_fmt_loop(obj.real)},\n{pad}  "im": {_fmt_loop(obj.imag)}\n{pad}}}'
+
+
+def _csv_loop(values, index, start):
+    # the per-number CSV rows of a list of complex numbers, kept as the reference for
+    # the array path
+    rows = [([(index, i)] if index else []) + [("re", z.real), ("im", z.imag)]
+            for i, z in enumerate(values, start)]
+    lines = [",".join(name for name, _ in rows[0])]
+    lines.extend(",".join(_fmt_loop(v) if isinstance(v, float) else str(v) for _, v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+#: negative zero, subnormals, the ends of the double range, integer values, and
+#: the points where %.17g switches between fixed and exponent notation
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+         -1e-300, 1.7976931348623157e308, 1.0, -2.0, 3.0, 1e15, -4096.0, 9007199254740994.0]
+for _x in (1e-5, 1e-4, 1e16, 1e17):
+    EDGES += [_x, -_x, np.nextafter(_x, 0.0), np.nextafter(_x, np.inf)]
+parts = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+complex_arrays = st.lists(st.tuples(parts, parts), min_size=1, max_size=24).map(
+    lambda pairs: np.array(pairs, dtype=np.float64).view(np.complex128).ravel())
+
+
+@given(arr=complex_arrays)
+def test_array_json_matches_per_number_rendering(arr):
+    for indent in (1, 2):
+        assert _render_json(arr, indent) == _json_loop(arr.tolist(), indent)
+
+
+@given(arr=complex_arrays)
+def test_array_csv_matches_per_number_rendering(arr):
+    for index in (None, "n"):
+        for start in (0, 1):
+            got = _render_csv({"values": arr}, _Rows("values", index, start))
+            assert got == _csv_loop(arr.tolist(), index, start)
+
+
+def test_array_rendering_edges_are_reached():
+    # every edge value in both parts, and negative zero printed as zero
+    arr = np.array([complex(x, -x) for x in EDGES])
+    assert _render_json(arr, 1) == _json_loop(arr.tolist(), 1)
+    assert _render_csv({"k": arr}, _Rows("k", "k", 1)) == _csv_loop(arr.tolist(), "k", 1)
+    assert _render_csv({"k": np.array([complex(-0.0, -0.0)])}, _Rows("k")) == "re,im\n0,0\n"
 
 
 def test_series_csv(capsys):

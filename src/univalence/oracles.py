@@ -60,6 +60,7 @@ __all__ = [
     "compose_with_automorphism",
     "lemma2_coefficients",
     "criterion_terms",
+    "exact_bounded_coefficients",
     "exact_quad_poly_coefficients",
     "exact_quad_poly_sum",
     "phi_capital_combinatorial",
@@ -273,6 +274,22 @@ def exact_quad_poly_coefficients(a, zeta, lam, N: int) -> list[Fraction]:
     for m in range(1, N + 1):
         v.append(v[-1] * (-lam - m + 1) / m * c)
     return [sum(u[k] * v[n - k] for k in range(min(n + 1, len(u)))) for n in range(N + 1)]
+
+
+def exact_bounded_coefficients(b, zeta, lam, N: int) -> list[Fraction]:
+    """A_0..A_N at rational ``lam`` for bounded with real rational ``b`` and
+    ``zeta``, exactly.
+
+    Pulled back by sigma_zeta, the Moebius map f(w) = w/(1 - b w) has
+    q(w) = 1 + g w with g = (zeta - b)/(1 - b zeta), so A_n = binom(lam, n) g^n;
+    b = 0 is the identity.
+    """
+    b, zeta, lam = Fraction(b), Fraction(zeta), Fraction(lam)
+    g = (zeta - b) / (1 - b * zeta)
+    A = [Fraction(1)]
+    for n in range(1, N + 1):
+        A.append(A[-1] * (lam - n + 1) / n * g)
+    return A
 
 
 def exact_quad_poly_sum(a, zeta, N: int) -> Fraction:

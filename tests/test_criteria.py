@@ -281,6 +281,27 @@ def test_quad_poly_criterion_sum_matches_its_exact_value(a, zeta, N, exact):
     assert abs(rep.T_N - float(T)) <= 1e-12
 
 
+# ------------------------------------------------------------ witness margins
+
+
+@pytest.mark.parametrize(
+    "lam,r,excess,verdict",
+    [
+        (0.5, 0.97, 0.0142681684, "violated"),
+        (0.5, 0.96, 0.0034948471, "violated"),
+        (0.5, 0.95, -0.0132170591, "consistent"),
+        (1.0, 0.95, 0.1505569592, "violated"),
+        (1.0, 0.96, 0.2157654740, "violated"),
+    ],
+)
+def test_exp_scale_witness_margins_on_the_imaginary_axis(lam, r, excess, verdict):
+    # e^{3.15 z} is not univalent: T_N - lam at N = 4096 on zeta = ir, about 15 times
+    # larger at lam = 1 than at lam = 1/2, and largest nearer the centre there
+    rep = univalence_criterion(get("exp_scale", k=3.15), lam, 1j * r, 4096)
+    assert abs((rep.T_N - lam) - excess) <= 1e-9
+    assert rep.verdict == verdict
+
+
 # ------------------------------------------------------------ scans
 
 

@@ -117,10 +117,10 @@ def _csv_loop(values, index, start):
 #: the points where %.17g switches between fixed and exponent notation
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
          -1e-300, 1.7976931348623157e308, 1.0, -2.0, 3.0, 1e15, -4096.0, 9007199254740994.0]
-for _x in (1e-5, 1e-4, 1e16, 1e17):
-    EDGES += [_x, -_x, np.nextafter(_x, 0.0), np.nextafter(_x, np.inf)]
-parts = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
-complex_arrays = st.lists(st.tuples(parts, parts), min_size=1, max_size=24).map(
+EDGES += [float(y) for x in (1e-5, 1e-4, 1e16, 1e17)
+          for y in (x, -x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))]
+doubles = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+complex_arrays = st.lists(st.tuples(doubles, doubles), min_size=1, max_size=24).map(
     lambda pairs: np.array(pairs, dtype=np.float64).view(np.complex128).ravel())
 
 

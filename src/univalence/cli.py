@@ -1,11 +1,11 @@
 """Command-line front end: JSON and CSV output for every computation.
 
 Output is deterministic for a fixed configuration: stable field order, floats
-rendered with 17 significant digits, complex numbers as {re, im} pairs.
-Each subcommand builds one JSON payload; its CSV table is derived from that
-payload.  Each coefficient array stays a complex numpy array in the payload
-and renders in one formatting pass: its per-element template, repeated, is
-filled by a single ``%`` over all its parts.  Exit codes: 0 success, 1 numeric
+rendered with 17 significant digits, complex numbers as {re, im} pairs.  Each
+subcommand builds one JSON payload and names its CSV table in one of three forms:
+a complex coefficient array, rendered in one pass that fills its repeated
+per-element template with a single ``%``; a list of row dicts (scan, bounds); or
+a tuple of scalar keys (area, grunsky), one row.  Exit codes: 0 success, 1 numeric
 failure (with its analytic meaning in the message), 2 configuration error naming
 the offending flag, 141 when the reader closes stdout early.
 """
@@ -13,7 +13,6 @@ the offending flag, 141 when the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -47,7 +46,7 @@ _RANGE = {
     ("scan", "N"): (1, 4096, "engine cost"),
     ("scan", "grid"): (1, 4096, "engine cost"),
     ("bounds", "N"): (1, 200, "left sides from series about z"),
-    ("grunsky", "N"): (32, quadrature._COUNT - 1, "truncation of the Grunsky sum"),
+    ("grunsky", "N"): (32, criteria._LONG - 1, "truncation of the Grunsky sum"),
 }
 
 
@@ -56,23 +55,23 @@ _RANGE = {
 
 
 def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # canonicalize negative zero
-    return format(x, ".17g")
+    return "%.17g" % (float(x) + 0.0)  # adding 0.0 turns negative zero into zero
 
 
 def _parts(arr: np.ndarray) -> tuple[float, ...]:
-    """Real and imaginary parts of a complex array, interleaved; adding 0.0 turns
-    negative zero into zero as :func:`_fmt` does, and ``'%.17g' % x`` equals
-    ``format(x, '.17g')``."""
+    """Real and imaginary parts of a complex array, interleaved, with negative zero
+    turned into zero as :func:`_fmt` does."""
     return tuple((arr + 0.0).view(float).tolist())
+
+
+#: the JSON object of one complex number at indent ``pad``, with its two parts to fill
+_COMPLEX_JSON = '{{\n{pad}  "re": %.17g,\n{pad}  "im": %.17g\n{pad}}}'
 
 
 def _render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, np.ndarray):  # a list of complex numbers, rendered at once
-        item = f'{pad}  {{\n{pad}    "re": %.17g,\n{pad}    "im": %.17g\n{pad}  }}'
+        item = f"{pad}  " + _COMPLEX_JSON.format(pad=pad + "  ")
         return "[\n" + ",\n".join([item] * obj.size) % _parts(obj) + f"\n{pad}]"
     if isinstance(obj, dict):
         items = [
@@ -84,7 +83,7 @@ def _render_json(obj, indent: int = 0) -> str:
         items = [f"{pad}  {_render_json(val, indent + 1)}" for val in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, complex):
-        return f'{{\n{pad}  "re": {_fmt(obj.real)},\n{pad}  "im": {_fmt(obj.imag)}\n{pad}}}'
+        return _COMPLEX_JSON.format(pad=pad) % (obj.real + 0.0, obj.imag + 0.0)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -96,53 +95,27 @@ def _render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj)}")
 
 
-@dataclasses.dataclass(frozen=True)
-class _Rows:
-    """CSV shape: one row per element of the list ``payload[key]``, led by a
-    running ``index`` column counted from ``start`` (no index column if None)."""
-
-    key: str
-    index: str | None = None
-    start: int = 0
-
-
-def _csv_cells(item: dict) -> list[tuple[str, object]]:
-    """(column, value) pairs of one CSV row: one column per key and two, name_re
-    and name_im, per complex value."""
-    cells = []
-    for name, value in item.items():
-        if isinstance(value, complex):
-            cells += [(f"{name}_re", value.real), (f"{name}_im", value.imag)]
-        else:
-            cells.append((name, value))
-    return cells
+def _csv_value(v) -> str:
+    if isinstance(v, complex):
+        return f"{_fmt(v.real)},{_fmt(v.imag)}"
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def _render_csv(payload: dict, table) -> str:
-    """CSV view of ``payload``: ``table`` is a :class:`_Rows` shape, or a tuple
-    of scalar keys rendered as a single row.  A complex array gives columns re
-    and im, rendered at once."""
-    if isinstance(table, _Rows) and isinstance(arr := payload[table.key], np.ndarray):
-        if table.index:
-            indices = range(table.start, table.start + arr.size)
-            rows = "".join([f"{i},%.17g,%.17g\n" for i in indices])
-            return f"{table.index},re,im\n" + rows % _parts(arr)
-        return "re,im\n" + "%.17g,%.17g\n" * arr.size % _parts(arr)
-    if isinstance(table, _Rows):
-        rows = [
-            ([(table.index, i)] if table.index else []) + _csv_cells(item)
-            for i, item in enumerate(payload[table.key], table.start)
-        ]
+    """CSV view of ``payload``.  ``table`` is ``(key, index, start)`` for the complex
+    array ``payload[key]``, rendered at once under columns index (counted from
+    start), re and im; a list of row dicts; or a tuple of scalar keys, one row.  A
+    complex value in a row gives two columns, name_re and name_im."""
+    if isinstance(table, list):
+        rows = table
+    elif isinstance(arr := payload[table[0]], np.ndarray):
+        _, index, start = table
+        lines = "".join([f"{i},%.17g,%.17g\n" for i in range(start, start + arr.size)])
+        return f"{index},re,im\n" + lines % _parts(arr)
     else:
-        rows = [_csv_cells({key: payload[key] for key in table})]
-
-    def cell(v) -> str:
-        if isinstance(v, float):
-            return _fmt(v)
-        return str(v)
-
-    lines = [",".join(name for name, _ in rows[0])]
-    lines.extend(",".join(cell(v) for _, v in row) for row in rows)
+        rows = [{key: payload[key] for key in table}]
+    names = [f"{k}_re,{k}_im" if isinstance(v, complex) else k for k, v in rows[0].items()]
+    lines = [",".join(names)] + [",".join(map(_csv_value, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -304,7 +277,7 @@ def _cmd_series(args, fn):
         "order": s.order,
         "coeffs": s.coeffs,
     }
-    return body, _Rows("coeffs", "k")
+    return body, ("coeffs", "k", 0)
 
 
 def _cmd_sequence(args, fn):
@@ -323,7 +296,7 @@ def _cmd_sequence(args, fn):
     }
     if args.kind == "Phi":
         body["lambda"] = args.lam
-    return body, _Rows("values", "n")
+    return body, ("values", "n", 0)
 
 
 def _cmd_criterion(args, fn):
@@ -339,7 +312,7 @@ def _cmd_criterion(args, fn):
         "verdict": rep.verdict,
         "terms": rep.terms,
     }
-    return body, _Rows("terms", "n", start=1)
+    return body, ("terms", "n", 1)
 
 
 def _cmd_scan(args, fn):
@@ -350,7 +323,7 @@ def _cmd_scan(args, fn):
         "full_mapping_consistent": res.full_mapping_consistent,
         "rows": [vars(r) for r in res.rows],
     }
-    return body, _Rows("rows")
+    return body, body["rows"]
 
 
 def _cmd_bounds(args, fn):
@@ -361,7 +334,7 @@ def _cmd_bounds(args, fn):
         "worst_slack": rep.worst_slack,
         "rows": [vars(r) for r in rep.rows],
     }
-    return body, _Rows("rows")
+    return body, body["rows"]
 
 
 def _cmd_area(args, fn):

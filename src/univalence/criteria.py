@@ -48,9 +48,9 @@ _EPS_SCAN = 0.05
 #: least error estimate relative to a sum: sums land within 3 eps of closed forms
 _ROUNDOFF = 16 * np.finfo(float).eps
 
-#: coefficients of a first, short read of a long sum, from one expansion of 4096
-#: samples (four samples per coefficient)
-_SHORT = 1024
+#: coefficients of a first, short read of a long sum and of the long read, from one
+#: expansion of 4096 and of 16384 samples (four samples per coefficient)
+_SHORT, _LONG = 1024, 4096
 
 Verdict = Literal["consistent", "violated"]
 
@@ -144,16 +144,16 @@ def _partial_sums(
     return A, S
 
 
-def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.ndarray:
+def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex) -> np.ndarray:
     """The partial sums S_1..S_K of ``_partial_sums``: K = 1024 when the second half
     of that short sum, S_1024 - S_512, is at the roundoff of the sum or of K engine
-    terms (the floors of ``_error``), else K = N.  The area integral and the Grunsky
+    terms (the floors of ``_error``), else K = 4096.  The area integral and the Grunsky
     norm of :mod:`univalence.quadrature` both read their sums here."""
     S = _partial_sums(fn, lam, zeta, _SHORT)[1]
     total = float(S[-1])
     floor = max(_ROUNDOFF * total, (_GROWTH * _SHORT * np.finfo(float).eps) ** 2)
     if total - S[_SHORT // 2 - 1] > floor:
-        S = _partial_sums(fn, lam, zeta, N)[1]
+        S = _partial_sums(fn, lam, zeta, _LONG)[1]
     return S
 
 
@@ -161,7 +161,7 @@ def _settled_sums(fn: CatalogFunction, lam: float, zeta: complex, N: int) -> np.
 #: (9.1e-11 at its K = 4096 terms) the tail is under the no-tail floor of ``_error``; the
 #: factor 10 is the margin a sweep needs (full mappings fall short of 1/lam from 5e-11
 #: down, and Moebius maps read roundoff from 1e-10 down)
-_LAM_FLOOR = 10 * _GROWTH * 4096 * np.finfo(float).eps
+_LAM_FLOOR = 10 * _GROWTH * _LONG * np.finfo(float).eps
 
 
 def _error(partial: np.ndarray, budget: float) -> tuple[float, bool]:

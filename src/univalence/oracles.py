@@ -60,7 +60,7 @@ __all__ = [
     "compose_with_automorphism",
     "lemma2_coefficients",
     "criterion_terms",
-    "exact_bounded_coefficients",
+    "exact_moebius_coefficients",
     "exact_quad_poly_coefficients",
     "exact_quad_poly_sum",
     "phi_capital_combinatorial",
@@ -276,16 +276,17 @@ def exact_quad_poly_coefficients(a, zeta, lam, N: int) -> list[Fraction]:
     return [sum(u[k] * v[n - k] for k in range(min(n + 1, len(u)))) for n in range(N + 1)]
 
 
-def exact_bounded_coefficients(b, zeta, lam, N: int) -> list[Fraction]:
-    """A_0..A_N at rational ``lam`` for bounded with real rational ``b`` and
-    ``zeta``, exactly.
+def exact_moebius_coefficients(c, zeta, lam, N: int) -> list[Fraction]:
+    """A_0..A_N at rational ``lam`` for a Moebius map f(w) = (alpha w + beta)/(1 + c w)
+    with real rational ``c`` and ``zeta``, exactly.
 
-    Pulled back by sigma_zeta, the Moebius map f(w) = w/(1 - b w) has
-    q(w) = 1 + g w with g = (zeta - b)/(1 - b zeta), so A_n = binom(lam, n) g^n;
-    b = 0 is the identity.
+    Pulled back by sigma_zeta, every Moebius f has q(w) = 1 + g w with
+    g = conj(zeta) - (1 - |zeta|^2) f''(zeta)/(2 f'(zeta)), so A_n = binom(lam, n) g^n.
+    Here f''/f' = -2c/(1 + c w), so g = (zeta + c)/(1 + c zeta) at real zeta: c = 0 is
+    the identity, c = -b bounded:b=b, c = a sigma:zeta=a and c = -1 cayley (g = -1).
     """
-    b, zeta, lam = Fraction(b), Fraction(zeta), Fraction(lam)
-    g = (zeta - b) / (1 - b * zeta)
+    c, zeta, lam = Fraction(c), Fraction(zeta), Fraction(lam)
+    g = (zeta + c) / (1 + c * zeta)
     A = [Fraction(1)]
     for n in range(1, N + 1):
         A.append(A[-1] * (lam - n + 1) / n * g)

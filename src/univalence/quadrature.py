@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, series_at
-from .criteria import _LAM_FLOOR, _error, _settled_sums
+from .criteria import _LAM_FLOOR, _LONG, _error, _settled_sums
 from .sequences import aharonov_phi
 from .series import PowerSeries, ps_eval
 
@@ -38,9 +38,6 @@ __all__ = [
 
 #: series order used for all near-diagonal kernel expansions
 _SERIES_ORDER = 32
-
-#: coefficients A_1..A_4096 of the long read, one engine call of 16384 samples
-_COUNT = 4096
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
             f"{fn.label} is not flagged univalent; the integrand would be "
             "singular where values collide"
         )
-    S = _settled_sums(fn, lam, z, _COUNT)
+    S = _settled_sums(fn, lam, z)
     value, (err, capped) = float(S[-1]) / lam**2, _error(S, lam)
     # the criterion's budget is sum (n-lam)|A_n|^2 <= lam.  A tail capped at the gap
     # lam - S is the gap in the integral's own units, 1/lam - value, rounded up so that
@@ -140,13 +137,13 @@ def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarra
 
 def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult, float]:
     """U_f(z) and the share of its exterior sum beyond n = N, from one settled sum."""
-    if not 32 <= N < _COUNT:
-        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_COUNT - 1}")
+    if not 32 <= N < _LONG:
+        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_LONG - 1}")
     if not fn.flags.univalent_on_disk:
         raise ValueError(f"{fn.label} is not flagged univalent")
     z = complex(z)
     # Psi_n = A_{n+1} at lam = 1, so sum_{n<=K} n|Psi_n|^2 = S_{K+1}
-    S = _settled_sums(fn, 1.0, z, _COUNT)
+    S = _settled_sums(fn, 1.0, z)
     total, lhs = float(S[-1]), float(S[min(N, S.size - 1)])
     omz = 1.0 - abs(z) ** 2
     value = math.sqrt(total) / omz
@@ -161,7 +158,7 @@ def grunsky_norm(fn: CatalogFunction, z: complex) -> QuadratureResult:
     sqrt(sum_{n<K} n|Psi_n(f;z)|^2)/(1-|z|^2), that is sqrt(S_K) at lam = 1
     over 1-|z|^2, a lower bound: K = 1024 when S_1024 - S_512 is at roundoff,
     else 4096.  The tail estimate of the sum goes through the square root."""
-    return _grunsky(fn, z, _COUNT - 1)[0]
+    return _grunsky(fn, z, _LONG - 1)[0]
 
 
 def psi_grunsky_identity_check(fn: CatalogFunction, z: complex, N: int) -> float:

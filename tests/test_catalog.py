@@ -165,6 +165,10 @@ def test_from_spec_round_trip():
     assert from_spec("koebe").id == "koebe"
 
 
+def test_repr_names_the_spec():
+    assert repr(from_spec("bounded:b=0.5")) == "CatalogFunction('bounded:b=0.5')"
+
+
 def test_from_spec_errors_name_the_flag():
     # a plain ValueError: only the CLI knows the spec came from --fn
     for spec in ("nonsense", "koebe:bogus=1", "exp_scale:k", "exp_scale:k=junk", "exp_scale:k=4,k=5"):

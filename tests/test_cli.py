@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import univalence
-from univalence.cli import _Rows, _parse_grid, _render_csv, _render_json, run
+from univalence.cli import _parse_grid, _render_csv, _render_json, run
 from univalence.errors import ConfigError
 
 
@@ -105,11 +105,36 @@ def _json_loop(obj, indent):
 def _csv_loop(values, index, start):
     # the per-number CSV rows of a list of complex numbers, kept as the reference for
     # the array path
-    rows = [([(index, i)] if index else []) + [("re", z.real), ("im", z.imag)]
-            for i, z in enumerate(values, start)]
+    rows = [[(index, i), ("re", z.real), ("im", z.imag)] for i, z in enumerate(values, start)]
     lines = [",".join(name for name, _ in rows[0])]
     lines.extend(",".join(_fmt_loop(v) if isinstance(v, float) else str(v) for _, v in row)
                  for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _csv_cells(item):
+    # (column, value) pairs of one CSV row: one column per key and two, name_re and
+    # name_im, per complex value
+    cells = []
+    for name, value in item.items():
+        if isinstance(value, complex):
+            cells += [(f"{name}_re", value.real), (f"{name}_im", value.imag)]
+        else:
+            cells.append((name, value))
+    return cells
+
+
+def _rows_loop(items):
+    # the per-cell CSV table of a list of row dicts, kept as the reference for the row
+    # model of the row and scalar tables
+    def cell(v):
+        if isinstance(v, float):
+            return _fmt_loop(v)
+        return str(v)
+
+    rows = [_csv_cells(item) for item in items]
+    lines = [",".join(name for name, _ in rows[0])]
+    lines.extend(",".join(cell(v) for _, v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -120,6 +145,7 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-
 EDGES += [float(y) for x in (1e-5, 1e-4, 1e16, 1e17)
           for y in (x, -x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))]
 doubles = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+complexes = st.builds(complex, doubles, doubles)
 complex_arrays = st.lists(st.tuples(doubles, doubles), min_size=1, max_size=24).map(
     lambda pairs: np.array(pairs, dtype=np.float64).view(np.complex128).ravel())
 
@@ -132,18 +158,43 @@ def test_array_json_matches_per_number_rendering(arr):
 
 @given(arr=complex_arrays)
 def test_array_csv_matches_per_number_rendering(arr):
-    for index in (None, "n"):
-        for start in (0, 1):
-            got = _render_csv({"values": arr}, _Rows("values", index, start))
-            assert got == _csv_loop(arr.tolist(), index, start)
+    for start in (0, 1):
+        got = _render_csv({"values": arr}, ("values", "n", start))
+        assert got == _csv_loop(arr.tolist(), "n", start)
 
 
 def test_array_rendering_edges_are_reached():
     # every edge value in both parts, and negative zero printed as zero
     arr = np.array([complex(x, -x) for x in EDGES])
     assert _render_json(arr, 1) == _json_loop(arr.tolist(), 1)
-    assert _render_csv({"k": arr}, _Rows("k", "k", 1)) == _csv_loop(arr.tolist(), "k", 1)
-    assert _render_csv({"k": np.array([complex(-0.0, -0.0)])}, _Rows("k")) == "re,im\n0,0\n"
+    assert _render_csv({"k": arr}, ("k", "k", 1)) == _csv_loop(arr.tolist(), "k", 1)
+    assert _render_csv({"k": np.array([complex(-0.0, -0.0)])}, ("k", "n", 0)) == "n,re,im\n0,0,0\n"
+    for z in arr.tolist():  # a complex scalar fills the array's per-element template
+        assert _render_json(z, 2) == _json_loop(z, 2)
+
+
+#: rows shaped as those of scan (zeta, T_N, margin, verdict) and of bounds (n, then the
+#: six sides and slacks)
+scan_rows = st.lists(st.fixed_dictionaries({
+    "zeta": complexes, "T_N": doubles, "margin": doubles,
+    "verdict": st.sampled_from(["consistent", "violated"])}), min_size=1, max_size=12)
+bounds_rows = st.lists(st.builds(
+    lambda n, sides: {"n": n, **dict(zip(
+        ["phi_lhs", "phi_rhs", "phi_slack", "cap_lhs", "cap_rhs", "cap_slack"], sides))},
+    st.integers(0, 200), st.lists(doubles, min_size=6, max_size=6)), min_size=1, max_size=12)
+scalars = st.dictionaries(st.sampled_from(["value", "error_estimate", "budget", "zeta"]),
+                          doubles | complexes, min_size=1)
+
+
+@given(rows=scan_rows | bounds_rows)
+def test_row_table_csv_matches_per_cell_rendering(rows):
+    assert _render_csv({"rows": rows}, rows) == _rows_loop(rows)
+
+
+@given(values=scalars)
+def test_scalar_table_csv_matches_per_cell_rendering(values):
+    payload = {"schema": 1, "command": "area", **values}
+    assert _render_csv(payload, tuple(values)) == _rows_loop([values])
 
 
 def test_series_csv(capsys):

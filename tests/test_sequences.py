@@ -90,6 +90,7 @@ def test_phi_koebe_origin():
     want = np.zeros(9)
     want[0], want[1] = -2.0, 1.0
     assert np.allclose(phi.values, want, atol=1e-13)
+    assert [phi[n] for n in range(len(phi))] == phi.values.tolist()
 
 
 def test_phi_identity_vanishes():

@@ -106,6 +106,12 @@ def _long_division(denom, order):
     return np.array(out)
 
 
+def test_repr_shows_the_first_four_coefficients():
+    want = "PowerSeries(center=0.5+0j, order=4, [1+0j, 2+0j, 3+0j, 4+0j, ...])"
+    assert repr(S([1, 2, 3, 4, 5], 0.5)) == want
+    assert repr(S([1, -2])) == "PowerSeries(center=0+0j, order=1, [1+0j, -2+0j])"
+
+
 def test_recip_geometric():
     out = ps_recip(S([1, -1, 0, 0, 0]))
     assert np.allclose(out.coeffs, np.ones(5), atol=1e-14)

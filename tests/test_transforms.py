@@ -12,7 +12,7 @@ from univalence.sequences import local_invariants, phi_capital_direct
 from univalence.series import ps_eval
 from univalence.oracles import (
     compose_with_automorphism,
-    exact_bounded_coefficients,
+    exact_moebius_coefficients,
     exact_quad_poly_coefficients,
     gen_binomial,
     lemma2_coefficients,
@@ -290,16 +290,31 @@ def test_recentered_engine_matches_exact_quad_poly_coefficients(lam, a, zeta):
 def test_recentered_engine_matches_exact_bounded_coefficients(lam, b, zeta):
     # q = 1 + g w is linear, so A_n = binom(lam, n) g^n; the worst error is about 1.1e-15
     A = phi_capital_recentered(get("bounded", b=float(b)), float(zeta), float(lam), 96)
-    want = np.array([float(x) for x in exact_bounded_coefficients(b, zeta, lam, 96)])
+    want = np.array([float(x) for x in exact_moebius_coefficients(-b, zeta, lam, 96)])
+    assert np.max(np.abs(A - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("zeta", [Fraction(0), Fraction(3, 10), Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize(
+    "spec,c",
+    [("sigma:zeta=0.3", Fraction(3, 10)), ("sigma:zeta=-0.5", Fraction(-1, 2)), ("cayley", -1)],
+    ids=["sigma:3/10", "sigma:-1/2", "cayley"],
+)
+@pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1, 2), Fraction(1)], ids=str)
+def test_recentered_engine_matches_exact_moebius_coefficients(lam, spec, c, zeta):
+    # g = (zeta + a)/(1 + a zeta) for sigma:zeta=a, and g = -1 for cayley at every zeta;
+    # the worst error is about 2.1e-15
+    A = phi_capital_recentered(from_spec(spec), float(zeta), float(lam), 96)
+    want = np.array([float(x) for x in exact_moebius_coefficients(c, zeta, lam, 96)])
     assert np.max(np.abs(A - want)) <= 1e-14
 
 
 def test_exact_bounded_coefficients_at_b_zero_are_the_identity():
     # q = 1 + zeta w for the identity: binom(1, n) zeta^n at lam = 1
-    A = exact_bounded_coefficients(0, Fraction(3, 10), 1, 4)
+    A = exact_moebius_coefficients(0, Fraction(3, 10), 1, 4)
     assert A == [1, Fraction(3, 10), 0, 0, 0]
     A = phi_capital_recentered(IDENTITY, 0.3, 0.5, 8)
-    want = [float(x) for x in exact_bounded_coefficients(0, Fraction(3, 10), Fraction(1, 2), 8)]
+    want = [float(x) for x in exact_moebius_coefficients(0, Fraction(3, 10), Fraction(1, 2), 8)]
     assert np.max(np.abs(A - want)) <= 1e-15
 
 

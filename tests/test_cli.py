@@ -171,6 +171,8 @@ def test_array_rendering_edges_are_reached():
     assert _render_csv({"k": np.array([complex(-0.0, -0.0)])}, ("k", "n", 0)) == "n,re,im\n0,0,0\n"
     for z in arr.tolist():  # a complex scalar fills the array's per-element template
         assert _render_json(z, 2) == _json_loop(z, 2)
+    rows = [{"zeta": complex(x, -x), "T_N": x, "margin": -x, "verdict": "violated"} for x in EDGES]
+    assert _render_csv({"rows": rows}, rows) == _rows_loop(rows)
 
 
 #: rows shaped as those of scan (zeta, T_N, margin, verdict) and of bounds (n, then the
@@ -178,10 +180,10 @@ def test_array_rendering_edges_are_reached():
 scan_rows = st.lists(st.fixed_dictionaries({
     "zeta": complexes, "T_N": doubles, "margin": doubles,
     "verdict": st.sampled_from(["consistent", "violated"])}), min_size=1, max_size=12)
-bounds_rows = st.lists(st.builds(
-    lambda n, sides: {"n": n, **dict(zip(
-        ["phi_lhs", "phi_rhs", "phi_slack", "cap_lhs", "cap_rhs", "cap_slack"], sides))},
-    st.integers(0, 200), st.lists(doubles, min_size=6, max_size=6)), min_size=1, max_size=12)
+bounds_rows = st.lists(st.fixed_dictionaries({
+    "n": st.integers(0, 200),
+    **{key: doubles for key in ("phi_lhs", "phi_rhs", "phi_slack", "cap_lhs", "cap_rhs", "cap_slack")}}),
+    min_size=1, max_size=12)
 scalars = st.dictionaries(st.sampled_from(["value", "error_estimate", "budget", "zeta"]),
                           doubles | complexes, min_size=1)
 

@@ -28,12 +28,11 @@ __all__ = ["main", "run"]
 SCHEMA_VERSION = 1
 
 #: accepted range of each integer flag, by sequence kind or subcommand, and of the
-#: number of ``scan --grid`` points, with the reason for its cap.  The recentering
-#: engine's counts stop at 4096 ("engine cost"): past 1024 its samples, and so its
-#: time, grow with the count; Psi_0..Psi_count takes count + 1 of them, so its count
-#: stops at 4095.  A scan makes one engine call per point.  The Grunsky sum reads
-#: at most 4096 coefficients, and N only picks its partial sum to n = N, so N
-#: stops at the long sum's truncation n = 4095.  The counts read from a
+#: number of ``scan --grid`` points, with the reason for its cap.  Past 1024 the
+#: recentering engine's samples, and so its time, grow with the count ("engine
+#: cost"): a criterion call stops at 65536 coefficients, and a scan, which makes one
+#: engine call per point, at 4096 and at 4096 points; Psi_0..Psi_count takes
+#: count + 1 of them, so its count stops at 4095.  The counts read from a
 #: Taylor series about z stop at 4096 too ("series length"): its coefficients, and
 #: so the output, grow with the count.  ``bounds`` reads its left sides from series
 #: about z, which lose digits.
@@ -42,11 +41,10 @@ _RANGE = {
     ("phi", "count"): (0, 4096, "series length"),
     ("Phi", "count"): (0, 4096, "series length"),
     ("Psi", "count"): (0, 4095, "engine cost"),
-    ("criterion", "N"): (1, 4096, "engine cost"),
+    ("criterion", "N"): (1, 65536, "engine cost, about 50 ms at 262144 samples"),
     ("scan", "N"): (1, 4096, "engine cost"),
     ("scan", "grid"): (1, 4096, "engine cost"),
     ("bounds", "N"): (1, 200, "left sides from series about z"),
-    ("grunsky", "N"): (32, criteria._LONG - 1, "truncation of the Grunsky sum"),
 }
 
 
@@ -257,10 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--z", default="0")
 
-    p = sub.add_parser("grunsky", help="Grunsky norm and the exterior-sum identity residual")
+    p = sub.add_parser("grunsky", help="Grunsky norm with its error estimate")
     add_common(p, _cmd_grunsky)
     p.add_argument("--z", default="0")
-    p.add_argument("--N", type=int, default=64)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     return parser
@@ -350,15 +347,13 @@ def _cmd_area(args, fn):
 
 
 def _cmd_grunsky(args, fn):
-    norm, residual = quadrature._grunsky(fn, args.z, args.N)
+    res = quadrature.grunsky_norm(fn, args.z)
     body = {
         "z": args.z,
-        "N": args.N,
-        "grunsky_norm": norm.value,
-        "error_estimate": norm.error_estimate,
-        "identity_residual": residual,
+        "grunsky_norm": res.value,
+        "error_estimate": res.error_estimate,
     }
-    return body, ("grunsky_norm", "error_estimate", "identity_residual")
+    return body, ("grunsky_norm", "error_estimate")
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -3,14 +3,14 @@ Grunsky kernel.
 
 Both quantities read the partial sums S_K = sum_{n<=K} (n-lam)|A_n|^2 of the
 recentered coefficients A_n at zeta = z, the criterion sums T_K, through
-:func:`univalence.criteria._settled_sums`: K = 1024 from 4096 samples
-when S_1024 - S_512 is at roundoff and K = 4096 from 16384 samples otherwise.
-The area integral bounded by 1/lam is S_K / lam^2.  The Grunsky norm follows
-from (1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, and Psi_n = A_{n+1} at
-lam = 1, so its sum to n = K-1 is S_K at lam = 1.  Every term is >= 0, so
-each sum is a lower bound; its tail is extrapolated from the partial sums and
-capped by the univalent budget.  The disk quadratures of both quantities are
-test oracles in :mod:`univalence.oracles`.
+:func:`univalence.criteria._settled_sums`: K = 1024 from 4096 samples when
+S_1024 - S_512 is at roundoff, else K = 4096 from 16384 samples.  The area
+integral bounded by 1/lam is S_K / lam^2.  The Grunsky norm is read from the
+area identity (1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, whose sum to
+n = K-1 is S_K at lam = 1 (Psi_n = A_{n+1}), so both sides are one sum and it
+has one output.  Every term is >= 0, so each sum is a lower bound; its tail is
+extrapolated from the partial sums and capped by the univalent budget.  The
+disk quadratures of both quantities are test oracles in :mod:`univalence.oracles`.
 
 The Grunsky kernel U(f;z,w) is evaluated pointwise: from its closed form away
 from w = z and from a truncated series in w - z within 0.15 (1-|z|) of it.
@@ -135,35 +135,30 @@ def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarra
     return out
 
 
-def _grunsky(fn: CatalogFunction, z: complex, N: int) -> tuple[QuadratureResult, float]:
-    """U_f(z) and the share of its exterior sum beyond n = N, from one settled sum."""
-    if not 32 <= N < _LONG:
-        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_LONG - 1}")
-    if not fn.flags.univalent_on_disk:
-        raise ValueError(f"{fn.label} is not flagged univalent")
-    z = complex(z)
-    # Psi_n = A_{n+1} at lam = 1, so sum_{n<=K} n|Psi_n|^2 = S_{K+1}
-    S = _settled_sums(fn, 1.0, z)
-    total, lhs = float(S[-1]), float(S[min(N, S.size - 1)])
-    omz = 1.0 - abs(z) ** 2
-    value = math.sqrt(total) / omz
-    # the univalent budget is sum n|Psi_n|^2 <= 1
-    err = math.sqrt(total + _error(S, 1.0)[0]) / omz - value
-    residual = (total - lhs) / max(1e-12, total)
-    return QuadratureResult(value=value, error_estimate=err), residual
-
-
 def grunsky_norm(fn: CatalogFunction, z: complex) -> QuadratureResult:
     """U_f(z), the L2 norm over the disk of the Grunsky kernel at z, as
     sqrt(sum_{n<K} n|Psi_n(f;z)|^2)/(1-|z|^2), that is sqrt(S_K) at lam = 1
     over 1-|z|^2, a lower bound: K = 1024 when S_1024 - S_512 is at roundoff,
     else 4096.  The tail estimate of the sum goes through the square root."""
-    return _grunsky(fn, z, _LONG - 1)[0]
+    if not fn.flags.univalent_on_disk:
+        raise ValueError(f"{fn.label} is not flagged univalent")
+    # Psi_n = A_{n+1} at lam = 1, so sum_{n<=K} n|Psi_n|^2 = S_{K+1}
+    S = _settled_sums(fn, 1.0, z)
+    total, omz = float(S[-1]), 1.0 - abs(z) ** 2
+    value = math.sqrt(total) / omz
+    # the univalent budget is sum n|Psi_n|^2 <= 1
+    err = math.sqrt(total + _error(S, 1.0)[0]) / omz - value
+    return QuadratureResult(value=value, error_estimate=err)
 
 
 def psi_grunsky_identity_check(fn: CatalogFunction, z: complex, N: int) -> float:
-    """Relative residual of sum_{n<=N} n |Psi_n(f;z)|^2 = (1-|z|^2)^2 U_f(z)^2: both
-    sides read the settled partial sums S_1..S_K at lam = 1 of ``grunsky_norm``, the
-    left side S_{min(N+1, K)} and the right side S_K, so this is the share of the sum
-    beyond n = N (0 from N = K-1 on), normalized by the sum floored at 1e-12."""
-    return _grunsky(fn, z, N)[1]
+    """The truncation share of the settled sum of ``grunsky_norm`` beyond n = N,
+    (S_K - S_{min(N+1, K)})/S_K, S_K floored at 1e-12: it cannot fail, and it is kept
+    only for the benchmark's disk_quadrature task, until that task reads the oracle."""
+    if not 32 <= N < _LONG:
+        raise ValueError(f"N must be >= 32 for a meaningful truncated sum and <= {_LONG - 1}")
+    if not fn.flags.univalent_on_disk:
+        raise ValueError(f"{fn.label} is not flagged univalent")
+    S = _settled_sums(fn, 1.0, z)
+    total = float(S[-1])
+    return (total - float(S[min(N, S.size - 1)])) / max(1e-12, total)

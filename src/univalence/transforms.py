@@ -67,9 +67,9 @@ def phi_capital_recentered(
     zeta = 0) on a circle |w| = rho using closed-form point values, takes the
     lam-th power on the branch with log q(0) = 0 (no branch at lam = 1; |q|^lam
     from |F(w) - F(0)|), and inverts the discrete Fourier transform.  Falls back
-    to smaller rho when the circle crosses or encloses a zero of q (non-univalent
-    f), when the power is larger than a double resolves to the 1e-8 of the Phi_0
-    check, or when the coefficients leave the double range.
+    to smaller rho when the circle meets or encloses a second preimage of F(0), a pole
+    of q (non-univalent f), when the power is larger than a double resolves to the
+    1e-8 of the Phi_0 check, or when the coefficients leave the double range.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -138,7 +138,7 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
     _unwrap(loop)
     winding = (loop[-1] - loop[0]) / (2.0 * np.pi)
     if abs(winding) > 0.25:
-        return None, f"winding {winding:.2f} at rho={rho} (zero of q enclosed)"
+        return None, f"winding {winding:.2f} at rho={rho} (f takes f(zeta) again inside the circle)"
     if lam == 1.0:
         H = q  # q^1 takes no branch
     else:

@@ -50,6 +50,7 @@ DELETED = (
     "_horner_scalar",
     "_radial_branch_anchor",
     "_identity_residual",
+    "_grunsky",
     "_grunsky_kernel",
     "_parse_mesh",
     "_MESH_MAXIMUM",

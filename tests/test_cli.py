@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import univalence
+from univalence.catalog import get
 from univalence.cli import _parse_grid, _render_csv, _render_json, run
 from univalence.errors import ConfigError
+from univalence.quadrature import grunsky_norm
 
 
 def _capture(capsys, argv):
@@ -237,7 +239,7 @@ def test_area_small_mesh(capsys):
 
 def test_grunsky_estimate_reaches_koebe_norm_near_the_circle(capsys):
     # the sum to n = 4095 holds 7% of sum n|Psi_n|^2 = 1 here; the rest is tail
-    code, out, _ = _capture(capsys, ["grunsky", "--fn", "koebe", "--z", "0.99i", "--N", "32"])
+    code, out, _ = _capture(capsys, ["grunsky", "--fn", "koebe", "--z", "0.99i"])
     assert code == 0
     payload = json.loads(out)
     assert payload["grunsky_norm"] <= 1.0 / (1.0 - 0.99**2)
@@ -275,7 +277,8 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "0"], 2, "--N"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "0"], 2, "--N"),
         (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "0"], 2, "--N"),
-        (["grunsky", "--fn", "koebe", "--N", "31"], 2, "--N"),
+        # the Grunsky norm is one sum and takes no N: argparse refuses the flag
+        (["grunsky", "--fn", "koebe", "--N", "32"], 2, "--N"),
         (["series", "--fn", "koebe", "--count", "0"], 2, "--count"),
         (["sequence", "--fn", "koebe", "--kind", "phi", "--count", "-1"], 2, "--count"),
         (["criterion", "--fn", "koebe", "--lambda", "-1"], 2, "--lambda"),
@@ -286,10 +289,11 @@ def test_numeric_error_exit_code(capsys):
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta=-1"], 2, "--zeta"),
         (["criterion", "--fn", "quad_poly:a=0.6", "--lambda", "0.5",
           "--zeta=-0.8333333333333334", "--N", "8"], 1, "f'(z)=0"),
-        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "4097"], 2, "--N"),
+        (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "65537"], 2, "--N"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "4097"], 2, "--N"),
         (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4097"], 2, "--count"),
-        (["grunsky", "--fn", "koebe", "--N", "4097"], 2, "--N"),
+        # a scan makes one engine call per point, so it keeps the cap of 4096
+        (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "65536"], 2, "--N"),
         (["bounds", "--fn", "koebe", "--lambda", "0.3", "--N", "201"], 2, "--N"),
         (["series", "--fn", "koebe", "--z", "0.3", "--count", "4096"], 1, "about 0.3 leave"),
         # the disk quadrature left the product, and --mesh with it: argparse refuses it
@@ -311,7 +315,7 @@ def test_numeric_error_exit_code(capsys):
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--tol", "inf"], 2, "--tol"),
         # Psi_0..Psi_count takes count + 1 engine coefficients
         (["sequence", "--fn", "koebe", "--kind", "Psi", "--count", "4096"], 2, "--count"),
-        (["grunsky", "--fn", "koebe", "--N", "4096"], 2, "--N"),
+        (["grunsky", "--fn", "koebe", "--N", "4095"], 2, "--N"),
         # the area theorem and the scan hold for lambda <= 1, the growth bounds for lambda < 1
         (["area", "--fn", "koebe", "--lambda", "1.5"], 2,
          "--lambda: must be <= 1 for area, got 1.5"),
@@ -389,6 +393,27 @@ def test_exit_code_table(capsys, argv, code, named):
     if "800" in argv:  # the refusal names the power of q, not a check it then fails
         assert "the lam-th power of q exceeds what a double resolves" in err
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "spec,zeta,verdict,T_N,margin",
+    [
+        # pi + 0.0034: at lambda = 1/2 the witness needs N past 4096, where 0.98i reads -0.069
+        ("exp_scale:k=3.145", "0.98i", "violated", 0.5121267260, -0.0121267260),
+        # just below pi, univalent: the margin stays clear at the same N
+        ("exp_scale:k=3.14159", "0.995i", "consistent", 0.4297787937, 0.0702212063),
+    ],
+)
+def test_criterion_reads_to_N_65536_at_the_exp_threshold(tmp_path, capsys, spec, zeta, verdict,
+                                                          T_N, margin):
+    path = tmp_path / "report.json"
+    code, _, err = _capture(capsys, ["criterion", "--fn", spec, "--lambda", "0.5", "--zeta", zeta,
+                                     "--N", "65536", "--out", str(path)])
+    assert code == 0, err
+    payload = json.loads(path.read_text())
+    assert (payload["N"], len(payload["terms"]), payload["verdict"]) == (65536, 65536, verdict)
+    assert payload["T_N"] == pytest.approx(T_N, abs=1e-9)
+    assert payload["margin"] == pytest.approx(margin, abs=1e-9)
 
 
 def _psi_values(capsys, fn, z):
@@ -523,12 +548,18 @@ def test_closed_stdout_exits_without_a_traceback(unbuffered):
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
-def test_grunsky_cap_is_the_truncation_of_its_sum(capsys):
-    # one expansion of 4096 coefficients whatever N is; N picks the partial sum to n = N
-    assert _capture(capsys, ["grunsky", "--fn", "koebe", "--N", "4095"])[0] == 0
-    code, out, err = _capture(capsys, ["grunsky", "--fn", "koebe", "--N", "4096"])
+def test_grunsky_prints_the_norm_and_its_estimate_only(capsys):
+    # both sides of the Grunsky area identity are one settled sum, so the command has
+    # no N to pick a share of it and no residual to print
+    code, out, err = _capture(capsys, ["grunsky", "--fn", "koebe", "--N", "32"])
     assert (code, out) == (2, "")
-    assert err == "config error: --N: must be <= 4095 (truncation of the Grunsky sum), got 4096\n"
+    assert err.endswith("error: unrecognized arguments: --N 32\n")
+    code, out, _ = _capture(capsys, ["grunsky", "--fn", "koebe", "--z", "0.3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["schema", "command", "fn", "z", "grunsky_norm", "error_estimate"]
+    res = grunsky_norm(get("koebe"), 0.3)
+    assert (payload["grunsky_norm"], payload["error_estimate"]) == (res.value, res.error_estimate)
 
 
 def test_series_overflow_refused_without_numpy_warnings():

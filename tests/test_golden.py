@@ -53,9 +53,8 @@ CASES = {
                    "--format", "csv"],
     "area_json": ["area", "--fn", "koebe", "--lambda", "0.5", "--z", "0.2"],
     "area_csv": ["area", "--fn", "bounded:b=0.5", "--lambda", "0.7", "--z", "-0.3", "--format", "csv"],
-    "grunsky_json": ["grunsky", "--fn", "koebe", "--z", "0.3", "--N", "32"],
-    "grunsky_csv": ["grunsky", "--fn", "quad_poly:a=0.3", "--z", "0.1+0.2i", "--N", "32",
-                    "--format", "csv"],
+    "grunsky_json": ["grunsky", "--fn", "koebe", "--z", "0.3"],
+    "grunsky_csv": ["grunsky", "--fn", "quad_poly:a=0.3", "--z", "0.1+0.2i", "--format", "csv"],
     "out_json": ["criterion", "--fn", "koebe", "--lambda", "0.5", "--zeta", "0", "--N", "4", "--out", OUT],
     "error_unknown_fn": ["criterion", "--fn", "bogus", "--lambda", "0.5"],
     "error_mesh": ["area", "--fn", "koebe", "--lambda", "0.5", "--mesh", "64,64"],

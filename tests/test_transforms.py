@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from univalence.catalog import from_spec, get, list_catalog, series_at
+from univalence.criteria import univalence_criterion
 from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
 from univalence.series import ps_eval
@@ -156,7 +157,8 @@ def test_recentered_engine_zero_shift_matches_plain_series():
 
 
 def test_recentered_engine_radius_fallback():
-    # q winds on the circles 0.95 and 0.9 (a zero of q enclosed), so 0.82 is used
+    # q winds on the circles 0.95 and 0.9 (a second preimage of f(zeta) enclosed, where q
+    # has a pole), so 0.82 is used
     e6 = get("exp_scale", k=6)
     A = phi_capital_recentered(e6, -0.3j, 0.5, 8)
     F = compose_with_automorphism(e6, -0.3j, 12)
@@ -316,6 +318,48 @@ def test_exact_bounded_coefficients_at_b_zero_are_the_identity():
     A = phi_capital_recentered(IDENTITY, 0.3, 0.5, 8)
     want = [float(x) for x in exact_moebius_coefficients(0, Fraction(3, 10), Fraction(1, 2), 8)]
     assert np.max(np.abs(A - want)) <= 1e-15
+
+
+def _pullback(fn, a):
+    """g = f o sigma_a as a catalog entry, with g' = f'(sigma_a) sigma_a' by the chain rule:
+    the point values the engine samples, and no Taylor series."""
+    a = complex(a)
+
+    def sigma(w):
+        return (w + a) / (1 + np.conj(a) * w)
+
+    def no_series(center, order):
+        raise NotImplementedError("f o sigma_a has no closed-form series")
+
+    return dataclasses.replace(
+        fn, id=f"{fn.id}_o_sigma", _coeffs=no_series, _f=lambda w: fn.f(sigma(w)),
+        _df=lambda w: fn.df(sigma(w)) * (1 - abs(a) ** 2) / (1 + np.conj(a) * w) ** 2,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["koebe", "rotated_koebe:theta=1.1", "quad_poly:a=0.4", "exp_scale:k=3.1", "cayley",
+     "bounded:b=0.5-0.3i"],
+)
+def test_engine_is_invariant_under_disk_automorphisms(spec):
+    # sigma_a o sigma_eta with eta = sigma_a^-1(zeta) is an automorphism taking 0 to zeta,
+    # so it is sigma_zeta after a rotation w -> e^{it} w, and A_n(f o sigma_a; eta) =
+    # e^{int} A_n(f; zeta): the moduli and T_N agree.  exp_scale has no rational form for
+    # the exact oracles, and this check needs none.  Over these 6 entries, 4 points
+    # |zeta| >= 0.9, 2 automorphisms and lam in {1/2, 1} at N = 256, the largest
+    # ||A_n(g)| - |A_n(f)|| is 8.8e-13 and the largest |dT_N| 6.8e-13, both for koebe
+    # at zeta = -0.95, a = -0.3+0.4i and lam = 1; the tolerance is 4e-12
+    fn = from_spec(spec)
+    for zeta in (0.9j, -0.95, 0.6 + 0.7j, 0.98):
+        for a in (0.5, -0.3 + 0.4j):
+            g, eta = _pullback(fn, a), (zeta - a) / (1 - np.conj(a) * zeta)
+            for lam in (0.5, 1.0):
+                f_rep = univalence_criterion(fn, lam, zeta, 256)
+                g_rep = univalence_criterion(g, lam, eta, 256)
+                case = (zeta, a, lam)
+                assert np.max(np.abs(np.abs(g_rep.terms) - np.abs(f_rep.terms))) <= 4e-12, case
+                assert abs(g_rep.T_N - f_rep.T_N) <= 4e-12, case
 
 
 def test_roots_are_built_once_per_sample_count():

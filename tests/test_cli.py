@@ -416,6 +416,15 @@ def test_criterion_reads_to_N_65536_at_the_exp_threshold(tmp_path, capsys, spec,
     assert payload["margin"] == pytest.approx(margin, abs=1e-9)
 
 
+def test_winding_refusal_names_a_second_preimage(capsys):
+    # q = F'(0) w/(F(w) - F(0)) has no zeros on the disk of the circle, only a pole
+    # where f takes f(zeta) again, so a circle winds by -1 around each such point
+    argv = ["criterion", "--fn", "quad_poly:a=0.51", "--lambda", "0.5", "--zeta=-0.98", "--N", "64"]
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("winding -1.00 at rho=0.55 (f takes f(zeta) again inside the circle)\n")
+
+
 def _psi_values(capsys, fn, z):
     code, out, _ = _capture(
         capsys, ["sequence", "--fn", fn, "--kind", "Psi", f"--z={z}", "--count", "64"]

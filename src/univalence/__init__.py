@@ -30,7 +30,6 @@ from .errors import (
 )
 from .quadrature import (
     QuadratureResult,
-    grunsky_kernel_point,
     grunsky_norm,
     prawitz_integral,
     psi_grunsky_identity_check,
@@ -42,7 +41,7 @@ from .sequences import (
     local_invariants,
     phi_capital_direct,
 )
-from .series import PowerSeries, ps_eval, ps_pow_real, ps_recip
+from .series import PowerSeries, ps_pow_real, ps_recip
 from .transforms import phi_capital_recentered, psi_via_transform
 
 __version__ = "0.1.0"

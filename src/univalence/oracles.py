@@ -7,8 +7,9 @@ series composition and a finite-difference recurrence.  They exist so the
 acceptance suite and the tests can check the printed identities against the
 production routes.  Most cancel catastrophically beyond a dozen or so terms
 at moderate |z|, so nothing in the product path imports this module.  The
-series product, derivative and generalized binomials live here too, since only
-these routes use them, and so do the exceptions that only these routes raise.
+series product, derivative, Horner evaluation and generalized binomials live
+here too, since only these routes use them, and so do the pointwise Grunsky
+kernel and the exceptions that only these routes raise.
 
 The weighted area integral and the Grunsky norm are here as the disk
 integrals their definitions print, on a graded polar quadrature about z:
@@ -39,14 +40,9 @@ import numpy as np
 
 from .catalog import CatalogFunction, series_at
 from .errors import UnivalenceError
-from .quadrature import (
-    _SERIES_ORDER,
-    QuadratureResult,
-    _default_delta,
-    grunsky_kernel_point,
-)
+from .quadrature import QuadratureResult
 from .sequences import SequenceSet, _normalized_quotient, aharonov_phi, phi_capital_direct
-from .series import PowerSeries, ps_eval, ps_pow_real, ps_recip
+from .series import PowerSeries, ps_pow_real, ps_recip
 from .transforms import psi_via_transform
 
 __all__ = [
@@ -56,6 +52,7 @@ __all__ = [
     "gen_binomial",
     "ps_mul",
     "ps_derivative",
+    "ps_eval",
     "ps_compose",
     "compose_with_automorphism",
     "lemma2_coefficients",
@@ -69,12 +66,16 @@ __all__ = [
     "MeshSpec",
     "integrate_disk",
     "quadrature_area_integral",
+    "grunsky_kernel_point",
     "quadrature_grunsky_norm",
     "quadrature_identity_residual",
 ]
 
 #: hard cap for the tuple-enumeration route
 _ENUM_LIMIT = 12
+
+#: series order used for all near-diagonal kernel expansions
+_SERIES_ORDER = 32
 
 
 class EnumerationLimitError(UnivalenceError, ValueError):
@@ -90,7 +91,7 @@ class SingularSampleError(QuadratureError):
 
 
 # --------------------------------------------------------------------------
-# series product, derivative and generalized binomials
+# series product, derivative, Horner evaluation and generalized binomials
 
 
 def gen_binomial(alpha: float, m: int) -> float:
@@ -121,6 +122,17 @@ def ps_derivative(a: PowerSeries) -> PowerSeries:
         raise ValueError("derivative needs order >= 1")
     k = np.arange(1, a.order + 1)
     return PowerSeries(a.center, k * a.coeffs[1:])
+
+
+def ps_eval(a: PowerSeries, w: complex | np.ndarray) -> complex | np.ndarray:
+    """Horner evaluation at w; convergence inside a reliable radius is the caller's concern."""
+    t = np.asarray(w, dtype=np.complex128) - a.center
+    acc = np.full_like(t, a.coeffs[-1])
+    for k in range(a.order - 1, -1, -1):
+        acc = acc * t + a.coeffs[k]
+    if np.ndim(w) == 0:
+        return complex(acc)
+    return acc
 
 
 # --------------------------------------------------------------------------
@@ -514,6 +526,10 @@ def integrate_disk(
 # the weighted area integral by disk quadrature
 
 
+def _default_delta(z: complex) -> float:
+    return 0.15 * (1.0 - abs(z))
+
+
 def _pullback_kernel_series(
     fn: CatalogFunction, z: complex, lam: float
 ) -> PowerSeries:
@@ -616,7 +632,36 @@ def quadrature_area_integral(
 
 
 # --------------------------------------------------------------------------
-# the Grunsky norm by disk quadrature
+# the Grunsky kernel and its norm by disk quadrature
+
+
+def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
+    """U(f;z,z+t) as a series in t: -(n+1) phi_{n+1} at slot n."""
+    phi = aharonov_phi(series_at(fn, z, _SERIES_ORDER + 3), _SERIES_ORDER + 1).values
+    n = np.arange(1, phi.size)
+    return PowerSeries(z, -(n * phi[1:]))
+
+
+def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarray):
+    """U(f;z,w) = f'(z)f'(w)/(f(w)-f(z))^2 - 1/(z-w)^2.
+
+    Within 0.15 (1-|z|) of the diagonal the removable singularity is evaluated
+    through the derivative of the difference-quotient expansion,
+    U = -sum_{n>=1} n phi_n(f;z) (w-z)^(n-1).
+    """
+    z = complex(z)
+    warr = np.asarray(w, dtype=np.complex128)
+    near = np.abs(warr - z) < _default_delta(z)
+    far = ~near
+    out = np.empty_like(warr)
+    if np.any(far):
+        wf, fz, fpz = warr[far], complex(fn.f(z)), complex(fn.df(z))
+        out[far] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
+    if np.any(near):
+        out[near] = ps_eval(_grunsky_series(fn, z), warr[near])
+    if np.ndim(w) == 0:
+        return complex(out)
+    return out
 
 
 def quadrature_grunsky_norm(

@@ -1,5 +1,4 @@
-"""The weighted area integral and the Grunsky norm as coefficient sums; the
-Grunsky kernel.
+"""The weighted area integral and the Grunsky norm as coefficient sums.
 
 Both quantities read the partial sums S_K = sum_{n<=K} (n-lam)|A_n|^2 of the
 recentered coefficients A_n at zeta = z, the criterion sums T_K, through
@@ -10,10 +9,8 @@ area identity (1-|z|^2)^2 U_f(z)^2 = sum_{n>=1} n|Psi_n(f;z)|^2, whose sum to
 n = K-1 is S_K at lam = 1 (Psi_n = A_{n+1}), so both sides are one sum and it
 has one output.  Every term is >= 0, so each sum is a lower bound; its tail is
 extrapolated from the partial sums and capped by the univalent budget.  The
-disk quadratures of both quantities are test oracles in :mod:`univalence.oracles`.
-
-The Grunsky kernel U(f;z,w) is evaluated pointwise: from its closed form away
-from w = z and from a truncated series in w - z within 0.15 (1-|z|) of it.
+disk quadratures of both quantities are test oracles in :mod:`univalence.oracles`,
+and so is the pointwise Grunsky kernel U(f;z,w) that the norm's quadrature integrates.
 """
 
 from __future__ import annotations
@@ -21,23 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .catalog import CatalogFunction, series_at
+from .catalog import CatalogFunction
 from .criteria import _LAM_FLOOR, _LONG, _error, _settled_sums
-from .sequences import aharonov_phi
-from .series import PowerSeries, ps_eval
+# unused: bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_removes_the_wrappers
+# requires the binding univalence.quadrature.aharonov_phi until that test changes
+from .sequences import aharonov_phi  # noqa: F401
 
 __all__ = [
     "QuadratureResult",
     "prawitz_integral",
-    "grunsky_kernel_point",
     "grunsky_norm",
     "psi_grunsky_identity_check",
 ]
-
-#: series order used for all near-diagonal kernel expansions
-_SERIES_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -99,40 +91,7 @@ def prawitz_integral(fn: CatalogFunction, lam: float, z: complex) -> QuadratureR
 
 
 # --------------------------------------------------------------------------
-# Grunsky kernel and norm
-
-
-def _default_delta(z: complex) -> float:
-    return 0.15 * (1.0 - abs(z))
-
-
-def _grunsky_series(fn: CatalogFunction, z: complex) -> PowerSeries:
-    """U(f;z,z+t) as a series in t: -(n+1) phi_{n+1} at slot n."""
-    phi = aharonov_phi(series_at(fn, z, _SERIES_ORDER + 3), _SERIES_ORDER + 1).values
-    n = np.arange(1, phi.size)
-    return PowerSeries(z, -(n * phi[1:]))
-
-
-def grunsky_kernel_point(fn: CatalogFunction, z: complex, w: complex | np.ndarray):
-    """U(f;z,w) = f'(z)f'(w)/(f(w)-f(z))^2 - 1/(z-w)^2.
-
-    Within 0.15 (1-|z|) of the diagonal the removable singularity is evaluated
-    through the derivative of the difference-quotient expansion,
-    U = -sum_{n>=1} n phi_n(f;z) (w-z)^(n-1).
-    """
-    z = complex(z)
-    warr = np.asarray(w, dtype=np.complex128)
-    near = np.abs(warr - z) < _default_delta(z)
-    far = ~near
-    out = np.empty_like(warr)
-    if np.any(far):
-        wf, fz, fpz = warr[far], complex(fn.f(z)), complex(fn.df(z))
-        out[far] = fpz * fn.df(wf) / (fn.f(wf) - fz) ** 2 - 1.0 / (z - wf) ** 2
-    if np.any(near):
-        out[near] = ps_eval(_grunsky_series(fn, z), warr[near])
-    if np.ndim(w) == 0:
-        return complex(out)
-    return out
+# Grunsky norm
 
 
 def grunsky_norm(fn: CatalogFunction, z: complex) -> QuadratureResult:

@@ -5,7 +5,8 @@ function about a fixed center, representing sum_k c_k (w - z0)^k.  All
 operations are pure functions of immutable inputs and keep the order of their
 input.  Coefficients are double-precision complex; the recurrences below are
 exact given exact inputs, so closed-form input series keep near machine
-accuracy through reciprocal and powers.
+accuracy through reciprocal and powers.  Horner evaluation, the product and
+the derivative serve only the reference routes, in :mod:`univalence.oracles`.
 
 The reciprocal and real-power recurrences are evaluated in blocks of
 ``_BLOCK`` coefficients.  The first block, indices below ``_BLOCK``, is the
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NonInvertibleSeriesError, NormalizationError, SeriesOverflowError
 
-__all__ = ["PowerSeries", "ps_recip", "ps_pow_real", "ps_eval"]
+__all__ = ["PowerSeries", "ps_recip", "ps_pow_real"]
 
 #: constant-term tolerance for normalized bases (`ps_pow_real`)
 _UNIT_TOL = 1e-12
@@ -138,15 +139,4 @@ def ps_pow_real(a: PowerSeries, lam: float) -> PowerSeries:
         for j, h in enumerate(hist.tolist()):
             x[j] = (h + np.dot(w[j, :j], x[:j])) / (s + j)
     return _checked(a.center, b, lam)
-
-
-def ps_eval(a: PowerSeries, w: complex | np.ndarray) -> complex | np.ndarray:
-    """Horner evaluation at w; convergence inside a reliable radius is the caller's concern."""
-    t = np.asarray(w, dtype=np.complex128) - a.center
-    acc = np.full_like(t, a.coeffs[-1])
-    for k in range(a.order - 1, -1, -1):
-        acc = acc * t + a.coeffs[k]
-    if np.ndim(w) == 0:
-        return complex(acc)
-    return acc
 

@@ -32,10 +32,15 @@ MOVED = (
     "_pullback_kernel_series",
     "_polar_rule",
     "_gauss_legendre",
+    # the pointwise Grunsky kernel, which only the norm's disk quadrature integrates
+    "grunsky_kernel_point",
+    "_grunsky_series",
+    "_default_delta",
     # series helpers and exceptions that only the reference routes use
     "gen_binomial",
     "ps_mul",
     "ps_derivative",
+    "ps_eval",
     "EnumerationLimitError",
     "QuadratureError",
     "SingularSampleError",
@@ -113,7 +118,7 @@ def test_reference_routes_defined_in_oracles():
 def test_series_and_errors_hold_only_product_names():
     series = importlib.import_module("univalence.series")
     errors = importlib.import_module("univalence.errors")
-    assert series.__all__ == ["PowerSeries", "ps_recip", "ps_pow_real", "ps_eval"]
+    assert series.__all__ == ["PowerSeries", "ps_recip", "ps_pow_real"]
     assert [name for name, obj in vars(errors).items() if isinstance(obj, type)] == [
         "UnivalenceError",
         "NonInvertibleSeriesError",
@@ -142,6 +147,33 @@ def test_only_acceptance_imports_oracles():
         if any(_imports_oracles(node) for node in ast.walk(ast.parse(path.read_text())))
     }
     assert importers == {"acceptance.py"}
+
+
+def _reads(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names and attributes that ``tree`` reads, outside its top-level definition ``skip``;
+    an import or an ``__all__`` string is no read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in tree.body
+        if getattr(top, "name", None) != skip
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_product_name_has_a_reader():
+    # a public name that only its definition, its __all__ entry and re-exports mention
+    # serves no product route: it belongs with the reference routes in oracles
+    readers = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in PRODUCT_MODULES + ("acceptance",)}
+    bench = "".join(path.read_text() for path in (SRC.parents[1] / "bench").glob("*.py"))
+    unread = [
+        f"{module}.{name}"
+        for module in PRODUCT_MODULES
+        for name in getattr(importlib.import_module(f"univalence.{module}"), "__all__", ())
+        if not any(name in _reads(tree, name if m == module else None) for m, tree in readers.items())
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert unread == []
 
 
 #: names of the disk quadrature, which only the oracle module may mention

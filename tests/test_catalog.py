@@ -7,7 +7,7 @@ import pytest
 
 from univalence.catalog import CatalogFlags, from_spec, get, list_catalog, parse_complex, series_at
 from univalence.errors import SeriesOverflowError
-from univalence.series import ps_eval
+from univalence.oracles import ps_eval
 
 
 def test_koebe_series_at_origin():

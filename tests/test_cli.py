@@ -273,6 +273,8 @@ def test_numeric_error_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "argv,code,named",
+    # pytest names these cases argv0, argv1, ... by position: a new case goes at the end,
+    # so that no recorded id moves
     [
         (["criterion", "--fn", "koebe", "--lambda", "0.5", "--N", "0"], 2, "--N"),
         (["scan", "--fn", "koebe", "--lambda", "0.5", "--N", "0"], 2, "--N"),

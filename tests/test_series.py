@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from univalence.errors import NonInvertibleSeriesError, NormalizationError, SeriesOverflowError
-from univalence.oracles import gen_binomial, ps_compose, ps_derivative, ps_mul
-from univalence.series import PowerSeries, ps_eval, ps_pow_real, ps_recip
+from univalence.oracles import gen_binomial, ps_compose, ps_derivative, ps_eval, ps_mul
+from univalence.series import PowerSeries, ps_pow_real, ps_recip
 
 
 def S(coeffs, center=0.0):

@@ -10,13 +10,13 @@ from univalence.catalog import from_spec, get, list_catalog, series_at
 from univalence.criteria import univalence_criterion
 from univalence.errors import UnivalenceError
 from univalence.sequences import local_invariants, phi_capital_direct
-from univalence.series import ps_eval
 from univalence.oracles import (
     compose_with_automorphism,
     exact_moebius_coefficients,
     exact_quad_poly_coefficients,
     gen_binomial,
     lemma2_coefficients,
+    ps_eval,
 )
 from univalence import transforms
 from univalence.transforms import phi_capital_recentered
@@ -360,6 +360,43 @@ def test_engine_is_invariant_under_disk_automorphisms(spec):
                 case = (zeta, a, lam)
                 assert np.max(np.abs(np.abs(g_rep.terms) - np.abs(f_rep.terms))) <= 4e-12, case
                 assert abs(g_rep.T_N - f_rep.T_N) <= 4e-12, case
+
+
+def _affine(fn, alpha, beta):
+    """g = alpha f + beta as a catalog entry: the point values the engine samples."""
+
+    def no_series(center, order):
+        raise NotImplementedError("the test builds alpha f + beta from point values only")
+
+    return dataclasses.replace(
+        fn, id=f"{fn.id}_affine", _coeffs=no_series, _f=lambda w: alpha * fn.f(w) + beta,
+        _df=lambda w: alpha * fn.df(w),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["koebe", "rotated_koebe:theta=1.1", "bounded:b=0.5-0.3i", "exp_scale:k=3.1", "quad_poly:a=0.5",
+     "cayley", "sigma:zeta=0.3"],
+)
+def test_engine_is_invariant_under_affine_post_composition(spec):
+    # q = F'(0) w / (F(w) - F(0)) is the same for F and alpha F + beta, so A_n(alpha f + beta;
+    # zeta) = A_n(f; zeta) as complex numbers.  Over these 7 entries, 5 points and lam in
+    # {1/2, 1} at N = 256 the largest |dA_n| is 2.1e-12, at (alpha, beta) = (1e-3i, -2e-3),
+    # and the largest |dT_N| 7.4e-13; alpha = -1 is bit-identical.  |beta| stays within
+    # 10 |alpha|: F(w) - F(0) cancels beta, so beta/alpha = 1e3 (1e-3i, -2) loses 3e-9
+    fn = from_spec(spec)
+    maps = ((2 - 3j, 0.5 + 1j), (1e3 * np.exp(1j), 7.0), (1e-3j, -2e-3), (-1.0, 0.0))
+    for zeta in (0.0, 0.3 + 0.2j, -0.9, 0.95j, 0.99 * np.exp(2.2j)):
+        for lam in (0.5, 1.0):
+            f_rep = univalence_criterion(fn, lam, zeta, 256)
+            for alpha, beta in maps:
+                g_rep = univalence_criterion(_affine(fn, alpha, beta), lam, zeta, 256)
+                case = (zeta, alpha, beta, lam)
+                assert np.max(np.abs(g_rep.terms - f_rep.terms)) <= 1e-11, case
+                assert abs(g_rep.T_N - f_rep.T_N) <= 4e-12, case
+                if alpha == -1.0:
+                    assert np.array_equal(g_rep.terms, f_rep.terms), case
 
 
 def test_roots_are_built_once_per_sample_count():

@@ -384,7 +384,7 @@ def test_engine_is_invariant_under_affine_post_composition(spec):
     # zeta) = A_n(f; zeta) as complex numbers.  Over these 7 entries, 5 points and lam in
     # {1/2, 1} at N = 256 the largest |dA_n| is 2.1e-12, at (alpha, beta) = (1e-3i, -2e-3),
     # and the largest |dT_N| 7.4e-13; alpha = -1 is bit-identical.  |beta| stays within
-    # 10 |alpha|: F(w) - F(0) cancels beta, so beta/alpha = 1e3 (1e-3i, -2) loses 3e-9
+    # 10 |alpha|: F(w) - F(0) cancels beta, and at (1e-3i, -2), |beta/alpha| = 2000, A_n loses 3e-9
     fn = from_spec(spec)
     maps = ((2 - 3j, 0.5 + 1j), (1e3 * np.exp(1j), 7.0), (1e-3j, -2e-3), (-1.0, 0.0))
     for zeta in (0.0, 0.3 + 0.2j, -0.9, 0.95j, 0.99 * np.exp(2.2j)):

@@ -118,11 +118,11 @@ def prawitz_sum_s(fn: CatalogFunction, lam: float, N: int) -> float:
     This is the criterion sum T_N at zeta = 0, where the recentered
     coefficients are the a_n themselves.
     """
-    c = series_at(fn, 0.0, 1).coeffs
-    if abs(c[0]) > 1e-12 or abs(c[1] - 1.0) > 1e-12:
+    f0, df0 = fn.f(0.0), fn.df(0.0)
+    if abs(f0) > 1e-12 or abs(df0 - 1.0) > 1e-12:
         raise NormalizationError(
             f"{fn.label} is not normalized to f(0)=0, f'(0)=1 "
-            f"(got f(0)={c[0]}, f'(0)={c[1]})"
+            f"(got f(0)={f0}, f'(0)={df0})"
         )
     return univalence_criterion(fn, lam, 0.0, N).T_N
 

@@ -34,6 +34,11 @@ _UNIT_TOL = 1e-12
 #: coefficients per block of the reciprocal and real-power recurrences
 _BLOCK = 128
 
+#: _LAG[j, t] = j - t for t < j, else 0: the index k of c_k pairing b_{s+j} with b_{s+t}
+#: in a block of the real-power recurrence
+_LAG = np.maximum(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)), 0)
+_LAG.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries:
@@ -126,14 +131,12 @@ def ps_pow_real(a: PowerSeries, lam: float) -> PowerSeries:
     if n < _BLOCK:
         return _checked(a.center, b, lam)
     u = (lam + 1.0) * ks * c
-    # lag[j, t] = j - t: the index k of c_k pairing b_{s+j} with b_{s+t}, t < j
-    lag = np.maximum(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)), 0)
     for s in range(_BLOCK, n + 1, _BLOCK):
         e = min(s + _BLOCK, n + 1)
         # history: sum_{i<s} ((lam+1)(m-i) - m) c_{m-i} b_i for m in [s, e)
         hist = np.convolve(u[1:e], b[:s], "valid") - ks[s:e] * np.convolve(c[1:e], b[:s], "valid")
         # the 1/m of the recurrence is not Toeplitz, so the block stays a short loop
-        g = lag[: e - s, : e - s]
+        g = _LAG[: e - s, : e - s]
         w = ((lam + 1.0) * g - ks[s:e, None]) * c[g]
         x = b[s:e]
         for j, h in enumerate(hist.tolist()):

@@ -8,8 +8,11 @@ route for the recentered coefficients at every zeta, the origin included, and
 so the engine behind the area sums, the criterion sums and the Psi sequence.
 Its sampling follows from the count N alone: the first radius keeps
 rho^-N <= 100 (the roundoff amplification of the highest coefficient), and the
-sample count is a power of two >= 4N, at least 4096.  The literal recentering
-sum and truncated-series composition are reference routes in :mod:`univalence.oracles`.
+sample count is a power of two >= 4N, at least 4096.  Each expansion reuses one
+scratch set per sample count: every sample-length stage is written into it, so
+a warm call allocates only the samples of f and the transform, and the returned
+coefficients are always a fresh array.  The literal recentering sum and
+truncated-series composition are reference routes in :mod:`univalence.oracles`.
 """
 
 from __future__ import annotations
@@ -55,6 +58,32 @@ def _roots(samples: int) -> np.ndarray:
     return roots
 
 
+class _Scratch:
+    """The sample-length work arrays of one expansion, each stage written through ``out=``."""
+
+    def __init__(self, samples: int):
+        # w: the circle points; z: sigma_zeta(w), then q, then the transformed samples;
+        # dq: the denominator of sigma_zeta(w), then f - f(zeta); adq: |dq|, then |q|^lam;
+        # loop: the closed phase loop, then the phase; trig: its cosine, then its sine
+        self.w, self.z, self.dq = (np.empty(samples, dtype=complex) for _ in range(3))
+        self.adq, self.trig = np.empty(samples), np.empty(samples)
+        self.loop = np.empty(samples + 1)
+
+
+#: one scratch set per sample count: an expansion takes it and gives it back, so a
+#: nested or concurrent expansion at the same count finds none and builds its own
+#: (dict.pop and item assignment are atomic, so no lock is needed)
+_POOL: dict[int, _Scratch] = {}
+
+
+@functools.lru_cache(maxsize=16)
+def _rho_powers(rho: float, count: int) -> np.ndarray:
+    """Read-only rho^0..rho^count, built once per radius and count."""
+    powers = rho ** np.arange(count + 1)
+    powers.flags.writeable = False
+    return powers
+
+
 def phi_capital_recentered(
     fn: CatalogFunction,
     zeta: complex,
@@ -82,16 +111,20 @@ def phi_capital_recentered(
 
     radii, samples = _sampling(count)
     last_reason = "no radius attempted"
-    # the samples of f, the power, the transform and the division by rho^n may leave
-    # the double range (an entry that overflows on the circle, an infinite lam, or
-    # rho^-n past a fallback radius); _expand refuses every non-finite result
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fz = complex(fn.f(zeta))
-        deriv0 = _require_derivative(complex(fn.df(zeta)), zeta) * (1.0 - abs(zeta) ** 2)
-        for rho in radii:
-            out, last_reason = _expand(fn, zeta, fz, deriv0, lam, count, rho, samples)
-            if out is not None:
-                return out
+    scratch = _POOL.pop(samples, None) or _Scratch(samples)
+    try:
+        # the samples of f, the power, the transform and the division by rho^n may leave
+        # the double range (an entry that overflows on the circle, an infinite lam, or
+        # rho^-n past a fallback radius); _expand refuses every non-finite result
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fz = complex(fn.f(zeta))
+            deriv0 = _require_derivative(complex(fn.df(zeta)), zeta) * (1.0 - abs(zeta) ** 2)
+            for rho in radii:
+                out, last_reason = _expand(scratch, fn, zeta, fz, deriv0, lam, count, rho)
+                if out is not None:
+                    return out
+    finally:
+        _POOL[samples] = scratch
 
     raise UnivalenceError(
         f"could not expand the recentered generating function at zeta={zeta}: {last_reason}"
@@ -116,41 +149,54 @@ def _unwrap(p: np.ndarray) -> None:
         p[1:] += correction.cumsum()
 
 
-def _expand(fn, zeta, fz, deriv0, lam, count, rho, samples):
-    """Coefficients 0..count from ``samples`` points on |w| = rho, or None and the reason."""
-    w = rho * _roots(samples)
-    # sigma_0 is the identity
-    dq = fn.f(w if zeta == 0 else (w + zeta) / (1.0 + np.conj(zeta) * w)) - fz
+def _expand(s, fn, zeta, fz, deriv0, lam, count, rho):
+    """Coefficients 0..count from the points on |w| = rho, or None and the reason.
+
+    Every sample-length stage is written into the scratch set ``s``; only the
+    coefficients are freshly allocated.
+    """
+    samples = s.w.size
+    w = np.multiply(rho, _roots(samples), out=s.w)
+    if zeta == 0:
+        z = w  # sigma_0 is the identity
+    else:
+        den = np.add(1.0, np.multiply(np.conj(zeta), w, out=s.dq), out=s.dq)
+        z = np.divide(np.add(w, zeta, out=s.z), den, out=s.z)
+    dq = np.subtract(fn.f(z), fz, out=s.dq)
     if not np.isfinite(dq).all():
         return None, f"non-finite samples at rho={rho}"
-    adq = np.abs(dq)
+    adq = np.abs(dq, out=s.adq)
     dq_min, dq_max = float(np.min(adq)), max(1.0, float(np.max(adq)))
     if dq_min < 1e-13 * dq_max:
         return None, f"collision point on the sampling circle at rho={rho}"
     # |q| = |deriv0| rho / |dq| on the circle, largest where |dq| is least
     if lam * float(np.log(abs(deriv0) * rho / dq_min)) > _POWER_LOG:
         return None, f"the lam-th power of q exceeds what a double resolves at rho={rho}"
-    q = w * (deriv0 / dq)
+    # w times the quotient, in this order at every sample count: the product's
+    # rounding depends on the order of its operands
+    q = np.multiply(w, np.divide(deriv0, dq, out=s.z), out=s.z)
 
-    loop = np.empty(samples + 1)  # arg q around the circle, closed by its first point
-    loop[:-1] = np.angle(q)
+    loop = s.loop  # arg q around the circle, closed by its first point
+    np.arctan2(q.imag, q.real, out=loop[:-1])
     loop[-1] = loop[0]
     _unwrap(loop)
     winding = (loop[-1] - loop[0]) / (2.0 * np.pi)
     if abs(winding) > 0.25:
         return None, f"winding {winding:.2f} at rho={rho} (f takes f(zeta) again inside the circle)"
-    if lam == 1.0:
-        H = q  # q^1 takes no branch
-    else:
+    H = q  # q^1 takes no branch
+    if lam != 1.0:
         # no winding: log q is analytic on |w| <= rho with log q(0) = 0, so by the
         # mean-value property the continuous argument of q averages to 0 on the circle
         turns = np.round(np.mean(loop[:-1]) / (2.0 * np.pi))
-        phase = lam * (loop[:-1] - 2.0 * np.pi * turns)
+        phase = np.subtract(loop[:-1], 2.0 * np.pi * turns, out=loop[:-1])
+        np.multiply(lam, phase, out=phase)
         # |q|^lam = exp(lam (log(|deriv0| rho) - log|dq|)), one real log and one real exp
-        mod = np.exp(lam * (np.log(abs(deriv0) * rho) - np.log(adq)))
-        H = np.empty(samples, dtype=complex)
-        H.real, H.imag = mod * np.cos(phase), mod * np.sin(phase)
-    out = np.fft.fft(H)[: count + 1] / samples / rho ** np.arange(count + 1)
+        mod = np.subtract(np.log(abs(deriv0) * rho), np.log(adq, out=adq), out=adq)
+        np.exp(np.multiply(lam, mod, out=mod), out=mod)
+        np.multiply(mod, np.cos(phase, out=s.trig), out=H.real)
+        np.multiply(mod, np.sin(phase, out=s.trig), out=H.imag)
+    out = np.divide(np.fft.fft(H)[: count + 1], samples)
+    np.divide(out, _rho_powers(rho, count), out=out)
     if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
         return None, f"non-finite coefficients at rho={rho}"
     if not abs(out[0] - 1.0) <= 1e-8:

@@ -1,5 +1,6 @@
 """Area sums, criterion reports, scans, probes and growth bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -64,6 +65,14 @@ def test_prawitz_sum_requires_class_S():
         prawitz_sum_s(CAYLEY, 0.5, 8)
     with pytest.raises(NormalizationError):
         prawitz_sum_s(get("sigma", zeta=0.3), 0.5, 8)
+
+
+def test_prawitz_sum_reads_the_normalization_from_point_values():
+    # the engine samples f itself, so f(0) and f'(0) come from the point values too:
+    # a Taylor rule that still says f(0) = 0 does not hide a shifted f
+    shifted = dataclasses.replace(KOEBE, id="koebe_shifted", _f=lambda w: KOEBE.f(w) + 1e-3)
+    with pytest.raises(NormalizationError, match=r"got f\(0\)=\(0\.001\+0j\), f'\(0\)=\(1\+0j\)"):
+        prawitz_sum_s(shifted, 0.5, 8)
 
 
 # ------------------------------------------------------------ terms

@@ -1,6 +1,8 @@
 """Automorphism pullbacks and the recentering routes."""
 
 import dataclasses
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +416,91 @@ def test_cached_roots_are_read_only():
     assert not r.flags.writeable
     with pytest.raises(ValueError):
         r[0] = 0.0
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3 + 0.2j])
+@pytest.mark.parametrize("lam", [0.37, 1.0])
+@pytest.mark.parametrize("samples", [4096, 8192, 16384])
+def test_warm_expansion_allocates_only_f_and_the_transform(samples, lam, zeta):
+    # a warm call writes every stage into the scratch set of its sample count; at its
+    # peak it holds koebe's two temporaries while f is evaluated on the circle, then
+    # the FFT output: 2.0 complex arrays of M samples, against 7.5 (5.3 at lam = 1)
+    # when each stage allocated its own
+    count = samples // 4
+    assert transforms._sampling(count)[1] == samples
+    phi_capital_recentered(KOEBE, zeta, lam, count)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        phi_capital_recentered(KOEBE, zeta, lam, count)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2.5 * np.dtype(complex).itemsize * samples
+
+
+def test_returned_coefficients_survive_later_expansions():
+    A = phi_capital_recentered(KOEBE, 0.3, 0.5, 2048)
+    kept = A.copy()
+    for zeta in (0.0, -0.4j, 0.6):
+        phi_capital_recentered(get("rotated_koebe", theta=1.1), zeta, 0.7, 2048)
+    assert A.tobytes() == kept.tobytes()
+    scratch = transforms._POOL[8192]
+    assert not any(np.shares_memory(A, buf) for buf in vars(scratch).values())
+
+
+def test_concurrent_expansions_match_serial_ones():
+    # numpy releases the GIL inside its loops, so the two threads overlap; each
+    # expansion takes the pool's scratch set or, finding none, builds its own
+    jobs = [(KOEBE, 0.3 + 0.2j, 0.5), (get("exp_scale", k=3.1), -0.4j, 1.0)]
+    serial = [phi_capital_recentered(fn, zeta, lam, 2048) for fn, zeta, lam in jobs]
+    results = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def expand(i):
+        fn, zeta, lam = jobs[i]
+        start.wait()
+        for _ in range(50):
+            results[i].append(phi_capital_recentered(fn, zeta, lam, 2048))
+
+    threads = [threading.Thread(target=expand, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for want, got in zip(serial, results):
+        assert len(got) == 50
+        assert all(A.tobytes() == want.tobytes() for A in got)
+
+
+def test_expansion_nested_in_f_at_the_same_sample_count():
+    # f itself expands another entry on 8192 samples while the outer expansion
+    # holds the scratch set of that count
+    inner = []
+
+    def nesting(w):
+        inner.append(phi_capital_recentered(IDENTITY, 0.2, 0.5, 2048))
+        return KOEBE.f(w)
+
+    fn = dataclasses.replace(KOEBE, id="koebe_nesting", _f=nesting)
+    got = phi_capital_recentered(fn, 0.3, 0.5, 2048)
+    assert got.tobytes() == phi_capital_recentered(KOEBE, 0.3, 0.5, 2048).tobytes()
+    want = phi_capital_recentered(IDENTITY, 0.2, 0.5, 2048).tobytes()
+    assert len(inner) == 2 and all(A.tobytes() == want for A in inner)
+
+
+def test_fallback_expansion_is_the_same_from_a_warm_or_a_cleared_pool():
+    # the first radius fails here and a fallback radius gives the coefficients
+    fn = get("exp_scale", k=3.3)
+    warm = [phi_capital_recentered(fn, 0.98j, 0.5, 4096) for _ in range(2)]
+    transforms._POOL.clear()
+    transforms._rho_powers.cache_clear()
+    cold = phi_capital_recentered(fn, 0.98j, 0.5, 4096)
+    assert warm[0].tobytes() == warm[1].tobytes() == cold.tobytes()
 
 
 @pytest.mark.parametrize(

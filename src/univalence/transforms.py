@@ -120,7 +120,7 @@ def phi_capital_recentered(
             fz = complex(fn.f(zeta))
             deriv0 = _require_derivative(complex(fn.df(zeta)), zeta) * (1.0 - abs(zeta) ** 2)
             for rho in radii:
-                out, last_reason = _expand(scratch, fn, zeta, fz, deriv0, lam, count, rho)
+                out, last_reason = _expand(fn, zeta, fz, deriv0, lam, count, rho, scratch)
                 if out is not None:
                     return out
     finally:
@@ -149,7 +149,7 @@ def _unwrap(p: np.ndarray) -> None:
         p[1:] += correction.cumsum()
 
 
-def _expand(s, fn, zeta, fz, deriv0, lam, count, rho):
+def _expand(fn, zeta, fz, deriv0, lam, count, rho, s):
     """Coefficients 0..count from the points on |w| = rho, or None and the reason.
 
     Every sample-length stage is written into the scratch set ``s``; only the

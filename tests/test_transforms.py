@@ -1,6 +1,7 @@
 """Automorphism pullbacks and the recentering routes."""
 
 import dataclasses
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -454,12 +455,18 @@ def test_returned_coefficients_survive_later_expansions():
 
 
 def test_concurrent_expansions_match_serial_ones():
-    # numpy releases the GIL inside its loops, so the two threads overlap; each
-    # expansion takes the pool's scratch set or, finding none, builds its own
-    jobs = [(KOEBE, 0.3 + 0.2j, 0.5), (get("exp_scale", k=3.1), -0.4j, 1.0)]
+    # numpy releases the GIL inside its loops, and a short switch interval interleaves
+    # the threads' Python steps; each expansion takes the pool's scratch set or, finding
+    # none, builds its own, so every thread gets its serial result bit for bit
+    jobs = [
+        (KOEBE, 0.3 + 0.2j, 0.5),
+        (get("exp_scale", k=3.1), -0.4j, 1.0),
+        (get("rotated_koebe", theta=1.1), 0.0, 0.37),
+        (get("bounded", b=0.5), 0.6, 1.0),
+    ]
     serial = [phi_capital_recentered(fn, zeta, lam, 2048) for fn, zeta, lam in jobs]
     results = [[] for _ in jobs]
-    start = threading.Barrier(len(jobs))
+    start = threading.Barrier(len(jobs), timeout=60)
 
     def expand(i):
         fn, zeta, lam = jobs[i]
@@ -468,10 +475,16 @@ def test_concurrent_expansions_match_serial_ones():
             results[i].append(phi_capital_recentered(fn, zeta, lam, 2048))
 
     threads = [threading.Thread(target=expand, args=(i,)) for i in range(len(jobs))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for want, got in zip(serial, results):
         assert len(got) == 50
         assert all(A.tobytes() == want.tobytes() for A in got)

@@ -183,7 +183,7 @@ def _expand(fn, zeta, fz, deriv0, lam, count, rho, s):
     winding = (loop[-1] - loop[0]) / (2.0 * np.pi)
     if abs(winding) > 0.25:
         return None, f"winding {winding:.2f} at rho={rho} (f takes f(zeta) again inside the circle)"
-    H = q  # q^1 takes no branch
+    H = q  # q^1 takes no branch; any other power is written over q
     if lam != 1.0:
         # no winding: log q is analytic on |w| <= rho with log q(0) = 0, so by the
         # mean-value property the continuous argument of q averages to 0 on the circle

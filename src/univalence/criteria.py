@@ -119,7 +119,7 @@ def prawitz_sum_s(fn: CatalogFunction, lam: float, N: int) -> float:
     coefficients are the a_n themselves.
     """
     f0, df0 = fn.f(0.0), fn.df(0.0)
-    if abs(f0) > 1e-12 or abs(df0 - 1.0) > 1e-12:
+    if not (abs(f0) <= 1e-12 and abs(df0 - 1.0) <= 1e-12):  # a NaN value is refused too
         raise NormalizationError(
             f"{fn.label} is not normalized to f(0)=0, f'(0)=1 "
             f"(got f(0)={f0}, f'(0)={df0})"

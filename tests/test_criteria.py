@@ -73,6 +73,9 @@ def test_prawitz_sum_reads_the_normalization_from_point_values():
     shifted = dataclasses.replace(KOEBE, id="koebe_shifted", _f=lambda w: KOEBE.f(w) + 1e-3)
     with pytest.raises(NormalizationError, match=r"got f\(0\)=\(0\.001\+0j\), f'\(0\)=\(1\+0j\)"):
         prawitz_sum_s(shifted, 0.5, 8)
+    undefined = dataclasses.replace(KOEBE, id="koebe_nan", _f=lambda w: KOEBE.f(w) * np.nan)
+    with pytest.raises(NormalizationError, match=r"got f\(0\)=\(nan\+nanj\)"):
+        prawitz_sum_s(undefined, 0.5, 8)
 
 
 # ------------------------------------------------------------ terms
